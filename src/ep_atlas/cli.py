@@ -29,8 +29,8 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import LADDER_CRITICAL, classify_compensation, critical_coupling
-from .collectivity import find_peak
-from .errors import ConfigError, EpAtlasError, IllConditionedNormalizationError, InvalidModelError
+from .collectivity import b_curve, find_peak
+from .errors import ConfigError, EpAtlasError, InvalidModelError
 from .exceptional import accumulation_scan, find_eps, two_level_eps
 from .models import (
     EffectiveModel,
@@ -42,7 +42,7 @@ from .models import (
 )
 from .monodromy import loop_ep, omega_comparison, theta_along, theta_of
 from .runio import format_value, parse_config, resolve_out, write_csv, write_json, write_manifest
-from .secular import eigen_spectrum
+from .secular import eigen_spectrum  # noqa: F401  (bench/tracer.py wraps it here)
 from .trajectories import order_parameter, sweep, turning_points
 
 _CHUNK = 64  # fixed fan-out unit; keeps outputs independent of --jobs
@@ -166,35 +166,18 @@ def _jobs(cfg: dict) -> int:
 
 
 # ---------------------------------------------------------------------------
-# grid workers (top level so they cross process boundaries)
-
-def _b_chunk(model: EffectiveModel, phi: float, lams) -> list[float]:
-    phase = complex(math.cos(math.radians(phi)), math.sin(math.radians(phi)))
-    out: list[float] = []
-    prev = None
-    for s in lams:
-        try:
-            spec = eigen_spectrum(model, s * phase, compute_vectors=True, warm_start=prev)
-            prev = spec.energies
-            out.append(float(spec.hermitian_norms.mean()))
-        except IllConditionedNormalizationError:
-            out.append(float("nan"))
-            prev = None
-    return out
-
-
-def _chunked(worker, grid: np.ndarray, jobs: int) -> list:
-    chunks = [grid[i : i + _CHUNK] for i in range(0, grid.size, _CHUNK)]
-    if jobs == 1 or len(chunks) == 1:
-        parts = [worker(c) for c in chunks]
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as ex:
-            parts = list(ex.map(worker, chunks))
-    return [x for part in parts for x in part]
-
+# coupling grids in fixed chunks
 
 def _b_values(model: EffectiveModel, phi: float, grid: np.ndarray, jobs: int) -> np.ndarray:
-    return np.array(_chunked(partial(_b_chunk, model, phi), grid, jobs), dtype=float)
+    """B over the grid, one warm-started b_curve per _CHUNK points, chunks spread over jobs processes."""
+    chunks = [grid[i : i + _CHUNK] for i in range(0, grid.size, _CHUNK)]
+    worker = partial(b_curve, model, phi=phi)
+    if jobs == 1 or len(chunks) == 1:
+        curves = [worker(c) for c in chunks]
+    else:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as ex:
+            curves = list(ex.map(worker, chunks))
+    return np.concatenate([c.values for c in curves])
 
 
 # ---------------------------------------------------------------------------

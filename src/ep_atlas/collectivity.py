@@ -113,6 +113,7 @@ def b_curve(model: EffectiveModel, lam_values, phi: float = 0.0) -> BCurve:
             spec = eigen_spectrum(model, s * phase, compute_vectors=True, warm_start=prev)
             prev = spec.energies
             vals[i] = float(spec.hermitian_norms.mean())
+            del spec  # free the N x N eigenvectors before the next solve: one matrix alive, not two
         except IllConditionedNormalizationError:
             vals[i] = np.nan
             flagged.append(i)

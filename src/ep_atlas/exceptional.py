@@ -12,17 +12,18 @@ the zeros of S'(E) are the roots of the polynomial
     R(E) = sum_k v_k^2 prod_{j != k} (E - eps_j)^2,
 
 of degree 2(N-1), and each zero E* yields its coupling as Lambda = i/S(E*).
-R is found with the same simultaneous Ehrlich-Aberth iteration used for the
-spectrum, evaluated rationally through R'/R = S''/S' + sum_k 2/(E - eps_k),
-then each pair (E*, Lambda*) is polished with a 2x2 Newton step on
-(S - i/Lambda, S').
+R is found with the spectrum's Ehrlich-Aberth engine (secular._aberth), fed
+the rational log-derivative R'/R = S''/S' + sum_k 2/(E - eps_k); then each
+pair (E*, Lambda*) is polished with a 2x2 Newton step on (S - i/Lambda, S').
 
 For real models R has real coefficients, so its roots come in conjugate
 pairs and the exceptional couplings are closed under Lambda -> -conj(Lambda).
 One member per such pair is reported, canonicalized to Re Lambda >= 0 (ties
 broken toward Im Lambda >= 0); a model with N coupled levels has exactly
-N - 1 representatives, 2(N-1) points in total.  Levels with v_k = 0 are
-decoupled and take no part.
+N - 1 representatives, 2(N-1) points in total.  The two roots of R behind a
+representative are paired by distance, not by adjacency in a sort, because
+mirror-symmetric models produce distinct pairs whose Re Lambda tie to the
+last bit.  Levels with v_k = 0 are decoupled and take no part.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ import numpy as np
 
 from .errors import IncompleteSearchError, OracleRangeError
 from .models import EffectiveModel, build_picket_fence
-
-_GOLDEN = 0.618033988749895
+from .secular import _aberth, _separate
 
 
 @dataclass(frozen=True)
@@ -73,52 +73,18 @@ def _gap_seeds(eps: np.ndarray, v2: np.ndarray) -> np.ndarray:
     return np.concatenate([dn, up])
 
 
-def _sder(eps, v2, z):
-    """S, S', S'' at a vector of points, stacked columns over levels."""
-    d = z[:, None] - eps[None, :]
-    s = (v2[None, :] / d).sum(axis=1)
-    sp = -(v2[None, :] / d**2).sum(axis=1)
-    spp = 2.0 * (v2[None, :] / d**3).sum(axis=1)
-    return s, sp, spp
+def _r_logderiv(v2: np.ndarray):
+    """R'/R = S''/S' + 2*sum r, with S' = -sum r^2*v^2 and S'' = 2*sum r^3*v^2."""
+    v2 = v2.astype(complex)
 
+    def logderiv(r):
+        r2v = r * r
+        r2v *= v2
+        sp = r2v.sum(axis=1)
+        r2v *= r
+        return -2.0 * r2v.sum(axis=1) / sp + 2.0 * r.sum(axis=1)
 
-def _aberth_r(eps, v2, z0, maxiter=600, tol=5e-14):
-    """Simultaneous iteration on R(E); returns (roots, converged)."""
-    z = np.array(z0, dtype=complex)
-    n = z.size
-    scale = max(1.0, float(np.abs(z).max()))
-    for _ in range(3):
-        gap = np.abs(z[:, None] - z[None, :])
-        np.fill_diagonal(gap, np.inf)
-        bad = np.where(gap.min(axis=1) < 1e-12 * scale)[0]
-        if bad.size == 0:
-            break
-        z[bad] += (np.arange(bad.size) + 1) * 1e-6 * scale * (0.7 + 0.3j)
-    active = np.ones(n, dtype=bool)
-    hist: list[float] = []
-    twist = np.exp(2j * np.pi * _GOLDEN * np.arange(n))
-    for it in range(maxiter):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            d = z[:, None] - eps[None, :]
-            sp = -(v2[None, :] / d**2).sum(axis=1)
-            spp = 2.0 * (v2[None, :] / d**3).sum(axis=1)
-            rlog = spp / sp + (2.0 / d).sum(axis=1)
-            zz = z[:, None] - z[None, :]
-            np.fill_diagonal(zz, np.inf)
-            rep = (1.0 / zz).sum(axis=1)
-            newt = 1.0 / rlog
-            w = newt / (1.0 - newt * rep)
-        w = np.where(np.isfinite(w), w, 0.0)
-        step = np.abs(w) / (1.0 + np.abs(z))
-        z = z - np.where(active, w, 0.0)
-        active &= ~(step < tol)
-        if not active.any():
-            return z, True
-        hist.append(float(step[active].max()))
-        if it >= 25 and it % 25 == 0 and hist[-1] > 0.5 * hist[-25]:
-            amp = np.abs(w) + 1e-14
-            z[active] += 0.35 * amp[active] * twist[active]
-    return z, False
+    return logderiv
 
 
 def _polish(eps, v2, e, lam, rounds=40):
@@ -162,10 +128,12 @@ def find_eps(model: EffectiveModel, *, tol: float = 5e-14, max_rounds: int = 4) 
         return []
     want = m - 1
     seeds = _gap_seeds(eps, v2)
+    logderiv = _r_logderiv(v2)
     gen = np.random.Generator(np.random.PCG64(0x5EED))
     best: list[ExceptionalPoint] = []
     for _ in range(max_rounds):
-        roots, ok = _aberth_r(eps, v2, seeds)
+        z0 = _separate(seeds.copy(), 0.7 + 0.3j)
+        roots, _, ok, _ = _aberth(eps, logderiv, z0, maxiter=600, tol=tol)
         if ok:
             pts = []
             for z in roots:
@@ -197,25 +165,34 @@ def _dedup(pts) -> list[ExceptionalPoint]:
 
 
 def _cluster(pts, want: int):
-    """Group canonicalized points into mirror pairs; None if the count is off."""
-    pts = sorted(pts, key=lambda p: (p[1].real, p[1].imag, p[0].real))
-    groups: list[list] = []
-    for p in pts:
-        if groups:
-            e0, l0, _ = groups[-1][0]
-            if abs(p[1] - l0) <= 1e-6 * (1.0 + abs(l0)) and abs(p[0] - e0) <= 1e-6 * (1.0 + abs(e0)):
-                groups[-1].append(p)
-                continue
-        groups.append([p])
-    if len(groups) != want or any(len(g) != 2 for g in groups):
-        return None
+    """Group canonicalized points into mirror pairs; None if the count is off.
+
+    Each point is paired with its unique unused partner within 1e-6 in both
+    coupling and energy.  Partners are looked up by distance rather than by
+    adjacency in a sort: on mirror-symmetric models distinct pairs tie in
+    Re Lambda up to the last bit and interleave in any lexicographic order.
+    """
+    lams = np.array([p[1] for p in pts])
+    ens = np.array([p[0] for p in pts])
+    used = np.zeros(len(pts), dtype=bool)
     reps = []
-    for i, g in enumerate(groups):
-        e = (g[0][0] + g[1][0]) / 2.0
-        lam = (g[0][1] + g[1][1]) / 2.0
-        res = max(g[0][2], g[1][2])
-        reps.append(ExceptionalPoint(lam, e, -np.conj(lam), res, i))
-    return reps
+    for i in range(len(pts)):
+        if used[i]:
+            continue
+        used[i] = True
+        near = (np.abs(lams - lams[i]) <= 1e-6 * (1.0 + abs(lams[i]))) & (
+            np.abs(ens - ens[i]) <= 1e-6 * (1.0 + abs(ens[i]))
+        )
+        j = np.flatnonzero(near & ~used)
+        if j.size != 1:
+            return None
+        used[j[0]] = True
+        a, b = pts[i], pts[j[0]]
+        reps.append(((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0, max(a[2], b[2])))
+    if len(reps) != want:
+        return None
+    reps.sort(key=lambda p: (p[1].real, p[1].imag))
+    return [ExceptionalPoint(lam, e, -np.conj(lam), res, i) for i, (e, lam, res) in enumerate(reps)]
 
 
 def expand_ep_set(reps: list[ExceptionalPoint]) -> np.ndarray:

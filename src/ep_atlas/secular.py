@@ -15,6 +15,13 @@ p'/p is evaluated rationally,
 so coefficients are never expanded and the conditioning stays that of the
 secular function itself.
 
+The iteration is one engine, _aberth, shared with the exceptional-point
+search: it takes the poles eps and a callback that maps a row block
+r = 1/(z - eps) to the log-derivative, so the same loop serves p'/p here
+and R'/R in exceptional.py.  It evaluates only iterates that have not yet
+converged, in row blocks of at most _BLOCK complex entries, so temporaries
+are O(N*B) rather than N x N.
+
 Eigenvectors inherit the rank-one form, psi_j proportional to
 v_j / (E - eps_j).  The bilinear self-overlap of that raw vector equals
 -S'(E), so c-normalization (psi^T psi = 1) is division by sqrt(-S'(E)).  The
@@ -76,6 +83,102 @@ def secular_eval(model: EffectiveModel, energy, coupling) -> np.ndarray | comple
 # ---------------------------------------------------------------------------
 # Ehrlich-Aberth engine
 
+_BLOCK = 1 << 16  # complex entries per row block (1 MiB): temporaries are O(N*B), never N x N
+
+
+def _separate(z: np.ndarray, jitter: complex) -> np.ndarray:
+    """Push apart iterates closer than 1e-12*scale, in place, so the repulsion term is finite.
+
+    Up to three rounds; the k-th offending iterate moves by k*1e-6*scale*jitter.
+    Nearest-neighbour gaps are taken over row blocks of the pairwise distance
+    matrix, so memory stays O(N*B).
+    """
+    n = z.size
+    scale = max(1.0, float(np.abs(z).max()))
+    rows = max(1, _BLOCK // n)
+    near = np.empty(n)
+    for _ in range(3):
+        for b0 in range(0, n, rows):
+            gap = np.abs(z[b0 : b0 + rows, None] - z[None, :])
+            k = np.arange(gap.shape[0])
+            gap[k, b0 + k] = np.inf
+            near[b0 : b0 + rows] = gap.min(axis=1)
+        bad = np.flatnonzero(near < 1e-12 * scale)
+        if bad.size == 0:
+            break
+        z[bad] += (np.arange(bad.size) + 1) * 1e-6 * scale * jitter
+    return z
+
+
+def _aberth(eps, logderiv, z0, maxiter=500, tol=5e-14):
+    """Simultaneous root iteration; returns (roots, iterations, converged, last_step).
+
+    The roots are those of p(E) = prod_k (E - eps_k) * q(E) for a rational q;
+    logderiv(r) maps a row block r = 1/(z - eps) (one row per iterate) to
+    p'/p at those iterates.  Only iterates that have not converged are
+    evaluated, in row blocks of at most _BLOCK entries; the repulsion term
+    still sums over all iterates, frozen ones included.  Reductions are
+    elementwise products and row sums, not BLAS, so concurrent worker
+    processes do not contend for BLAS threads.
+
+    Converged iterates are frozen, and last_step reports each iterate's
+    relative step at its final evaluation.  A deterministic index-asymmetric
+    kick is applied if the maximum step stops shrinking (the plain iteration
+    can lock into a mirror-symmetric limit cycle when the true roots sit on
+    the symmetry axis of the seed configuration).
+    """
+    z = np.array(z0, dtype=complex)
+    n = z.size
+    rows = max(1, _BLOCK // max(n, eps.size))
+    eps = eps.astype(complex)  # complex operands spare numpy a casting pass per block
+    active = np.ones(n, dtype=bool)
+    hist: list[float] = []
+    twist = np.exp(2j * np.pi * _GOLDEN * np.arange(n))
+    step = np.zeros(n)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for it in range(maxiter):
+            idx = np.flatnonzero(active)
+            wa = np.empty(idx.size, dtype=complex)
+            for b0 in range(0, idx.size, rows):
+                ib = idx[b0 : b0 + rows]
+                zb = z[ib]
+                r = zb[:, None] - eps[None, :]
+                np.reciprocal(r, out=r)
+                zz = zb[:, None] - z[None, :]
+                zz[np.arange(ib.size), ib] = np.inf
+                np.reciprocal(zz, out=zz)
+                newt = 1.0 / logderiv(r)
+                wa[b0 : b0 + rows] = newt / (1.0 - newt * zz.sum(axis=1))
+            wa[~np.isfinite(wa)] = 0.0
+            za = z[idx]
+            sa = np.abs(wa) / (1.0 + np.abs(za))
+            step[idx] = sa
+            z[idx] = za - wa
+            active[idx] = ~(sa < tol)
+            if not active.any():
+                return z, it + 1, True, float(step.max(initial=0.0))
+            hist.append(float(step[active].max()))
+            if it >= 25 and it % 25 == 0 and hist[-1] > 0.5 * hist[-25]:
+                amp = np.abs(wa) + 1e-14
+                keep = active[idx]
+                z[idx[keep]] += 0.35 * amp[keep] * twist[idx[keep]]
+    return z, maxiter, False, float(step[active].max())
+
+
+def _spectrum_logderiv(v2: np.ndarray, lam: complex):
+    """p'/p = sum r + g'/g with g = 1 + i*Lambda*S, S = sum r*v^2, S' = -sum r^2*v^2."""
+    v2 = v2.astype(complex)
+
+    def logderiv(r):
+        rv = r * v2
+        g = 1.0 + 1j * lam * rv.sum(axis=1)
+        rv *= r
+        gp = -1j * lam * rv.sum(axis=1)
+        return r.sum(axis=1) + gp / g
+
+    return logderiv
+
+
 def _seeds(eps: np.ndarray, v2: np.ndarray, lam: complex) -> np.ndarray:
     """First-order onsite seeds, with one swapped for the collective root.
 
@@ -94,55 +197,7 @@ def _seeds(eps: np.ndarray, v2: np.ndarray, lam: complex) -> np.ndarray:
         deep = cen - 1j * lam * tot
         j = int(np.argmin(np.abs(z - deep)))
         z[j] = deep
-    scale = max(1.0, float(np.abs(z).max()))
-    for _ in range(3):
-        gap = np.abs(z[:, None] - z[None, :])
-        np.fill_diagonal(gap, np.inf)
-        bad = np.where(gap.min(axis=1) < 1e-12 * scale)[0]
-        if bad.size == 0:
-            break
-        z[bad] += (np.arange(bad.size) + 1) * 1e-6 * scale * (0.7 + 0.7j)
-    return z
-
-
-def _aberth(eps, v2, lam, z0=None, maxiter=500, tol=5e-14):
-    """Simultaneous root iteration; returns (roots, iterations, converged, last_step).
-
-    Converged iterates are frozen.  A deterministic index-asymmetric kick is
-    applied if the maximum step stops shrinking (the plain iteration can lock
-    into a mirror-symmetric limit cycle when the true roots sit on the
-    symmetry axis of the seed configuration).
-    """
-    n = eps.size
-    z = _seeds(eps, v2, lam) if z0 is None else np.array(z0, dtype=complex)
-    active = np.ones(n, dtype=bool)
-    hist: list[float] = []
-    twist = np.exp(2j * np.pi * _GOLDEN * np.arange(n))
-    step = np.zeros(n)
-    for it in range(maxiter):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            d = z[:, None] - eps[None, :]
-            s = (v2[None, :] / d).sum(axis=1)
-            sp = -(v2[None, :] / d**2).sum(axis=1)
-            g = 1 + 1j * lam * s
-            gp = 1j * lam * sp
-            plogd = (1.0 / d).sum(axis=1) + gp / g
-            zz = z[:, None] - z[None, :]
-            np.fill_diagonal(zz, np.inf)
-            rep = (1.0 / zz).sum(axis=1)
-            newt = 1.0 / plogd
-            w = newt / (1.0 - newt * rep)
-        w = np.where(np.isfinite(w), w, 0.0)
-        step = np.abs(w) / (1.0 + np.abs(z))
-        z = z - np.where(active, w, 0.0)
-        active &= ~(step < tol)
-        if not active.any():
-            return z, it + 1, True, float(step.max(initial=0.0))
-        hist.append(float(step[active].max()))
-        if it >= 25 and it % 25 == 0 and hist[-1] > 0.5 * hist[-25]:
-            amp = np.abs(w) + 1e-14
-            z[active] += 0.35 * amp[active] * twist[active]
-    return z, maxiter, False, float(step[active].max())
+    return _separate(z, 0.7 + 0.7j)
 
 
 _STALL_ACCEPT = 1e-8  # near a defective pair no method localizes roots below ~sqrt(eps)
@@ -156,16 +211,18 @@ def _solve_roots(eps, v2, lam, warm=None, maxiter=500, tol=5e-14):
     all steps already below _STALL_ACCEPT is returned as converged-to-limit,
     with the stalled step size reported as the residual.
     """
-    z, its, ok, last = _aberth(eps, v2, lam, z0=warm, maxiter=maxiter, tol=tol)
+    logderiv = _spectrum_logderiv(v2, lam)
+    z0 = _seeds(eps, v2, lam) if warm is None else warm
+    z, its, ok, last = _aberth(eps, logderiv, z0, maxiter=maxiter, tol=tol)
     best = (z, its, last)
     if not ok and warm is not None:
         # warm start led the iteration astray; retry from scratch
-        z, its, ok, last = _aberth(eps, v2, lam, maxiter=maxiter, tol=tol)
+        z, its, ok, last = _aberth(eps, logderiv, _seeds(eps, v2, lam), maxiter=maxiter, tol=tol)
         if last < best[2]:
             best = (z, its, last)
     if not ok and eps.size <= 64:
         h = np.diag(eps).astype(complex) - 1j * lam * np.outer(np.sqrt(v2), np.sqrt(v2))
-        z, its, ok, last = _aberth(eps, v2, lam, z0=np.linalg.eigvals(h), maxiter=maxiter, tol=tol)
+        z, its, ok, last = _aberth(eps, logderiv, np.linalg.eigvals(h), maxiter=maxiter, tol=tol)
         if last < best[2]:
             best = (z, its, last)
     if ok:

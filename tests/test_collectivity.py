@@ -1,6 +1,7 @@
 """Collectivity measures: B, participation, and peak detection."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from ep_atlas import (
     IllConditionedNormalizationError,
     b_curve,
     b_measure,
+    build_perturbed_fence,
     build_picket_fence,
     build_two_level,
     find_peak,
@@ -62,6 +64,21 @@ def test_b_curve_peak_near_critical_coupling():
     assert abs(curve.peak.lam - 1.0 / math.pi) < 0.05
     assert curve.peak.value > 2.0
     assert curve.peak.descent_ratio > 0.25
+
+
+def test_b_curve_holds_one_eigenvector_matrix():
+    # each point's N x N eigenvectors are freed before the next solve, so a
+    # warm-started curve never holds two of them (16 MB each at N = 1001)
+    m = build_perturbed_fence(1001, 0.1, 1)
+    one = 1001 * 1001 * 16
+    tracemalloc.start()
+    try:
+        curve = b_curve(m, [0.3, 0.35, 0.4])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(curve.values).all()
+    assert one < peak < 1.5 * one
 
 
 def test_b_curve_flags_coalescence_grid_point():

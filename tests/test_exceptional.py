@@ -52,7 +52,7 @@ def test_fence4_matches_exact_values():
 
 
 def test_representative_count_is_n_minus_one():
-    for n in (3, 4, 5, 7):
+    for n in (3, 4, 5, 7, 43):
         reps = find_eps(build_picket_fence(n))
         assert len(reps) == n - 1
         assert expand_ep_set(reps).size == 2 * (n - 1)
@@ -117,3 +117,21 @@ def test_accumulation_toward_critical_coupling():
     assert d[0] > d[1] > d[2]
     assert res.target == pytest.approx(1.0 / math.pi)
     assert abs(res.lambda_c_estimate - 1.0 / math.pi) < 0.08
+
+
+@pytest.mark.parametrize("n", [21, 51, 101, 201])
+def test_compensated_power_law_has_full_set(n):
+    # mirror-symmetric levels make distinct pairs tie in Re Lambda to the last
+    # bit; the search must still pair every root of R with its own partner
+    m = build_power_law(n, 1.0, 4.0)
+    act = m.couplings != 0.0
+    eps, v2 = m.epsilons[act], m.couplings[act] ** 2
+    reps = find_eps(m)
+    assert len(reps) == int(act.sum()) - 1
+    for p in reps:
+        d = p.energy - eps
+        s = (v2 / d).sum()
+        sp = (v2 / d**2).sum()
+        assert abs(s - 1j / p.coupling) <= 1e-8 * abs(s)
+        assert abs(sp) <= 1e-8 * (v2 / np.abs(d) ** 2).sum()
+

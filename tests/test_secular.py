@@ -1,15 +1,20 @@
 """Secular-equation spectra against closed forms and a high-precision oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ep_atlas import (
     CouplingParameter,
+    find_eps,
     IllConditionedNormalizationError,
     InvalidCouplingError,
     PoleProximityError,
+    build_perturbed_fence,
     build_picket_fence,
     build_power_law,
+    build_spacing_ensemble,
     build_two_level,
     dense_oracle,
     eigen_spectrum,
@@ -17,6 +22,8 @@ from ep_atlas import (
     two_level_closed_form,
     two_level_eps,
 )
+from ep_atlas import secular
+from helpers import assert_complex_sets_close
 
 # Frozen reference spectrum for eps=(-0.5, 1.0), omega=25 deg, Lambda=0.8*exp(40j deg),
 # evaluated from the quadratic closed form at 30 significant digits.
@@ -139,3 +146,56 @@ def test_oracle_matches_across_sizes():
         m = build_picket_fence(n)
         lam = CouplingParameter(0.45, 25.0)
         np.testing.assert_allclose(eigen_spectrum(m, lam).energies, dense_oracle(m, lam), atol=1e-10)
+
+
+# Beyond the fence: a power law whose odd-n central level decouples, a Poisson
+# spacing ensemble and a perturbed fence, each checked against LAPACK.
+CROSS_MODELS = {
+    "power_law_decoupled_centre": lambda: build_power_law(199, 1.0, 4.0),
+    "poisson_ensemble": lambda: build_spacing_ensemble(200, "poisson", 5),
+    "perturbed_fence": lambda: build_perturbed_fence(200, 0.3, 11),
+}
+
+
+@pytest.mark.parametrize("phi", [0.0, 45.0])
+@pytest.mark.parametrize("name", sorted(CROSS_MODELS))
+def test_cold_and_warm_solves_match_dense_eigvals(name, phi):
+    m = CROSS_MODELS[name]()
+    prev = None
+    for lam in (0.1, 0.3, 0.33, 2.0):
+        c = CouplingParameter(lam, phi)
+        ref = np.linalg.eigvals(m.hamiltonian(c))
+        scale = max(1.0, float(np.abs(m.epsilons).max()), abs(c.value) * m.coupling_strength)
+        cold = eigen_spectrum(m, c)
+        assert_complex_sets_close(cold.energies, ref, atol=1e-11 * scale)
+        if prev is not None:
+            warm = eigen_spectrum(m, c, warm_start=prev)
+            assert_complex_sets_close(warm.energies, ref, atol=1e-11 * scale)
+        prev = cold.energies
+
+
+def test_cold_solve_memory_is_bounded():
+    # the root iteration works in fixed-size row blocks: no N x N temporaries
+    # (one complex 3001 x 3001 array alone would take 144 MB)
+    m = build_perturbed_fence(3001, 0.1, 1)
+    tracemalloc.start()
+    try:
+        spec = eigen_spectrum(m, CouplingParameter(0.05, 0.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert spec.n == 3001
+    assert peak < 32 * 2**20
+
+
+def test_row_blocks_do_not_change_results(monkeypatch):
+    # one row per block must reproduce the single-block iteration bit for bit
+    m = build_perturbed_fence(40, 0.3, 2)
+    c = CouplingParameter(0.33, 20.0)
+    whole = eigen_spectrum(m, c)
+    eps_whole = [p.coupling for p in find_eps(m)]
+    monkeypatch.setattr(secular, "_BLOCK", 1)
+    split = eigen_spectrum(m, c)
+    np.testing.assert_array_equal(split.energies, whole.energies)
+    assert split.iterations == whole.iterations
+    assert [p.coupling for p in find_eps(m)] == eps_whole
