@@ -39,6 +39,7 @@ from .models import (
     build_power_law,
     build_spacing_ensemble,
     build_two_level,
+    phase_factor,
 )
 from .monodromy import loop_ep, omega_comparison, theta_along, theta_of
 from .runio import format_value, parse_config, resolve_out, write_csv, write_json, write_manifest
@@ -358,7 +359,7 @@ def _run_sweep(cfg, out):
     }
     files = [emit(out / ("sweep_trajectories" + ext), meta, cols)]
     pts = {k: [] for k in ("kind", "index", "re_lambda", "im_lambda", "re_energy", "im_energy", "width")}
-    phase = complex(math.cos(math.radians(phi)), math.sin(math.radians(phi)))
+    phase = phase_factor(phi)
     for tp in turning_points(traj):
         lam_c = tp.lam * phase
         pts["kind"].append("turning")

@@ -13,13 +13,12 @@ the accumulation point of the exceptional points.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IllConditionedNormalizationError
-from .models import EffectiveModel
+from .models import EffectiveModel, phase_factor
 from .secular import eigen_spectrum
 
 _PEAK_DESCENT = 0.25  # interior peak must account for this share of the curve's range
@@ -104,7 +103,7 @@ def b_curve(model: EffectiveModel, lam_values, phi: float = 0.0) -> BCurve:
     by the peak search.
     """
     lam = np.asarray(list(lam_values), dtype=float)
-    phase = complex(math.cos(math.radians(phi)), math.sin(math.radians(phi)))
+    phase = phase_factor(phi)
     vals = np.empty(lam.size)
     flagged: list[int] = []
     prev = None
@@ -113,7 +112,6 @@ def b_curve(model: EffectiveModel, lam_values, phi: float = 0.0) -> BCurve:
             spec = eigen_spectrum(model, s * phase, compute_vectors=True, warm_start=prev)
             prev = spec.energies
             vals[i] = float(spec.hermitian_norms.mean())
-            del spec  # free the N x N eigenvectors before the next solve: one matrix alive, not two
         except IllConditionedNormalizationError:
             vals[i] = np.nan
             flagged.append(i)

@@ -59,7 +59,16 @@ class CouplingParameter:
 
     @property
     def value(self) -> complex:
-        return self.lam * complex(math.cos(self.phi_rad), math.sin(self.phi_rad))
+        return self.lam * _unit(self.phi_rad)
+
+
+def _unit(rad: float) -> complex:
+    return complex(math.cos(rad), math.sin(rad))
+
+
+def phase_factor(phi: float) -> complex:
+    """exp(1j*phi) for phi in degrees; the coupling ray Lambda = lam * phase_factor(phi)."""
+    return _unit(math.radians(phi))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContourError, ResolutionError, ThetaSingularError
-from .models import EffectiveModel, build_two_level
+from .models import EffectiveModel, build_two_level, phase_factor
 from .secular import eigen_spectrum
 from .exceptional import expand_ep_set, find_eps
 
@@ -236,7 +236,7 @@ def theta_of(eps1: float, eps2: float, omega_deg: float, lam: float, phi: float 
         raise ValueError("lambda must be nonnegative")
     if lam == 0 or c == 0 or s == 0:
         return 0j
-    phase = cmath.exp(1j * math.radians(phi))
+    phase = phase_factor(phi)
     gap = e2 - e1
     e_prev = complex(e1)
     theta = 0j
@@ -330,7 +330,7 @@ def omega_comparison(
     w_eff = math.degrees(math.atan2(s, c))
     if abs(w_eff - 45.0) < 1e-9:
         raise ThetaSingularError("omega = 45 degrees sits on the exceptional ray; limit undefined")
-    phase = cmath.exp(1j * math.radians(phi))
+    phase = phase_factor(phi)
     gap = e2 - e1
     lam = lam_factor * gap
     w_prev = complex(gap)

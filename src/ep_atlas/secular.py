@@ -22,19 +22,27 @@ and R'/R in exceptional.py.  It evaluates only iterates that have not yet
 converged, in row blocks of at most _BLOCK complex entries, so temporaries
 are O(N*B) rather than N x N.
 
-Eigenvectors inherit the rank-one form, psi_j proportional to
-v_j / (E - eps_j).  The bilinear self-overlap of that raw vector equals
--S'(E), so c-normalization (psi^T psi = 1) is division by sqrt(-S'(E)).  The
-Hermitian norm of the c-normalized state is >= 1 and measures how far the
-state is from the Hermitian limit.
+Eigenvectors inherit the rank-one form, psi_j = v_j r_j with
+r = 1/(E - eps).  The bilinear self-overlap of that raw vector is
+sum v^2 r^2 = -S'(E), so c-normalization (psi^T psi = 1) is division by
+sqrt(-S'(E)), and the Hermitian norm of the c-normalized state is
+
+    <psi|psi> = sum v^2 |r|^2 / |sum v^2 r^2| = 1 / condition,
+
+where condition = |psi^T psi| / <psi|psi> of the raw vector.  It is >= 1 and
+measures how far the state is from the Hermitian limit.  Both per-state
+numbers come from one pass over row blocks of r, so the norms (and the B
+measure built on them) need no N x N matrix; the eigenvector matrix itself
+is built only when Spectrum.vectors is first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
-from mpmath import mp
 
 from .errors import (
     IllConditionedNormalizationError,
@@ -71,11 +79,14 @@ def secular_eval(model: EffectiveModel, energy, coupling) -> np.ndarray | comple
     e = np.atleast_1d(e)
     eps = model.epsilons
     v2 = model.couplings**2
-    d = e[:, None] - eps[None, :]
     scale = max(1.0, float(np.max(np.abs(eps))))
-    if np.min(np.abs(d)) < 1e-14 * scale:
-        raise PoleProximityError("energy within 1e-14 of an unperturbed level; secular form is singular there")
-    s = (v2[None, :] / d).sum(axis=1)
+    rows = max(1, _BLOCK // eps.size)
+    s = np.empty(e.size, dtype=complex)
+    for b0 in range(0, e.size, rows):
+        d = e[b0 : b0 + rows, None] - eps[None, :]
+        if np.min(np.abs(d)) < 1e-14 * scale:
+            raise PoleProximityError("energy within 1e-14 of an unperturbed level; secular form is singular there")
+        s[b0 : b0 + rows] = (v2[None, :] / d).sum(axis=1)
     out = s - 1j / lam
     return complex(out[0]) if scalar else out
 
@@ -244,23 +255,80 @@ def _sorted_order(e: np.ndarray) -> np.ndarray:
     return np.lexsort((e.imag, e.real))
 
 
+def _raw_overlaps(e: np.ndarray, eps: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """psi^T psi = sum v^2 r^2 and <psi|psi> = sum v^2 |r|^2 of each raw vector psi = v*r.
+
+    r = 1/(e - eps) is formed one row block at a time (one row per state, at
+    most _BLOCK entries), so memory stays O(N*B).
+    """
+    rows = max(1, _BLOCK // eps.size)
+    eps = eps.astype(complex)
+    v2c = v2.astype(complex)
+    bil = np.empty(e.size, dtype=complex)
+    herm = np.empty(e.size)
+    for b0 in range(0, e.size, rows):
+        r = e[b0 : b0 + rows, None] - eps[None, :]
+        np.reciprocal(r, out=r)
+        herm[b0 : b0 + rows] = ((r.real**2 + r.imag**2) * v2).sum(axis=1)
+        r *= r
+        r *= v2c
+        bil[b0 : b0 + rows] = r.sum(axis=1)
+    return bil, herm
+
+
+def _c_normalized_vectors(order, act, cols, e, eps_a, v_a) -> np.ndarray:
+    """N x N matrix of c-normalized eigenvectors, one column per sorted state.
+
+    order is the sort permutation of the energies, act marks the coupled
+    levels, cols the sorted positions of the coupled states and e their
+    energies.  A coupled state's column is psi/sqrt(psi^T psi) with
+    psi = v/(E - eps) on the coupled levels, signed so that its
+    largest-modulus entry (the first one on ties) has positive real part, or
+    positive imaginary part when the real part is zero.  A decoupled level
+    keeps its exact basis column.
+    """
+    n = order.size
+    vec = np.zeros((n, n), dtype=complex)
+    dec = np.flatnonzero(~act[order])
+    vec[order[dec], dec] = 1.0
+    lev = np.flatnonzero(act)
+    rows = max(1, _BLOCK // max(1, eps_a.size))
+    for b0 in range(0, cols.size, rows):
+        d = e[b0 : b0 + rows, None] - eps_a[None, :]
+        psi = v_a[None, :] / d
+        psi /= np.sqrt(((v_a**2)[None, :] / d**2).sum(axis=1))[:, None]
+        piv = psi[np.arange(psi.shape[0]), np.argmax(np.abs(psi), axis=1)]
+        flip = (piv.real < 0) | ((piv.real == 0) & (piv.imag < 0))
+        psi[flip] = -psi[flip]
+        vec[np.ix_(lev, cols[b0 : b0 + rows])] = psi.T
+    return vec
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues (sorted by real part, then imaginary) and per-state data.
 
-    vectors holds c-normalized right eigenvectors as columns when requested;
-    hermitian_norms are <psi|psi> of those columns (>= 1, equality only in
-    the Hermitian limit); condition holds the scale-invariant ratio
-    |psi^T psi| / <psi|psi> of the raw rank-one vector, which is 1 for a
-    real state and vanishes exactly at an exceptional point.
+    When vectors were requested, hermitian_norms are <psi|psi> of the
+    c-normalized states (>= 1, equality only in the Hermitian limit) and
+    condition holds the scale-invariant ratio |psi^T psi| / <psi|psi> of the
+    raw rank-one vector, which is 1 for a real state and vanishes exactly at
+    an exceptional point.  For a coupled state hermitian_norms = 1/condition;
+    a decoupled level has norm 1 and condition inf.  Both come from a blocked
+    pass without any N x N matrix.  vectors, the c-normalized right
+    eigenvectors as columns, is an N x N matrix built on first read and then
+    cached (None when vectors were not requested).
     """
 
     energies: np.ndarray
     iterations: int
     residual: float
-    vectors: np.ndarray | None = None
     hermitian_norms: np.ndarray | None = None
     condition: np.ndarray | None = None
+    _build_vectors: Callable[[], np.ndarray] | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def vectors(self) -> np.ndarray | None:
+        return None if self._build_vectors is None else self._build_vectors()
 
     @property
     def widths(self) -> np.ndarray:
@@ -281,12 +349,15 @@ def eigen_spectrum(
     maxiter: int = 500,
     tol: float = 5e-14,
 ) -> Spectrum:
-    """All N complex eigenvalues of H(Lambda), optionally with eigenvectors.
+    """All N complex eigenvalues of H(Lambda), optionally with eigenvector data.
 
     lambda = 0 is exact (the unperturbed levels).  Levels with v_k = 0 are
     split off exactly: they stay at eps_k with unit basis vectors, and the
     iteration runs on the coupled subset only.  warm_start takes a length-N
     array of previous eigenvalues to continue a parameter sweep.
+
+    compute_vectors fills hermitian_norms and condition and makes vectors
+    available; the eigenvector matrix is only built if vectors is read.
 
     Raises SolverFailureError if the iteration stalls, and (only when
     compute_vectors is set) IllConditionedNormalizationError when some state
@@ -296,17 +367,7 @@ def eigen_spectrum(
     n = model.n
     eps = model.epsilons
     v = model.couplings
-    if lam == 0:
-        return Spectrum(
-            energies=eps.astype(complex),
-            iterations=0,
-            residual=0.0,
-            vectors=np.eye(n, dtype=complex) if compute_vectors else None,
-            hermitian_norms=np.ones(n) if compute_vectors else None,
-            condition=np.full(n, np.inf) if compute_vectors else None,
-        )
-
-    act = v != 0.0
+    act = (v != 0.0) if lam != 0 else np.zeros(n, dtype=bool)  # at lambda = 0 every level is bare
     e_full = eps.astype(complex)
     its = 0
     last = 0.0
@@ -331,42 +392,27 @@ def eigen_spectrum(
     if not compute_vectors:
         return Spectrum(energies=e_sorted, iterations=its, residual=last)
 
-    vec = np.zeros((n, n), dtype=complex)
+    cols = np.flatnonzero(act[order])
+    e_act = e_sorted[cols]
     norms = np.ones(n)
     cond = np.full(n, np.inf)
-    act_sorted = act[order]
-    for col in np.flatnonzero(~act_sorted):
-        vec[order[col], col] = 1.0  # decoupled level: exact basis state
-    ill: list[int] = []
-    for col in np.flatnonzero(act_sorted):
-        d = e_sorted[col] - eps[act]
-        raw = np.zeros(n, dtype=complex)
-        raw[act] = v[act] / d
-        bil = np.sum((v[act] ** 2) / d**2)  # psi^T psi of the raw vector = -S'(E)
-        # scale-invariant defectiveness: |psi^T psi| / <psi|psi> is 1 for a real
-        # vector and 0 exactly at a coalescence, independent of the raw scale
-        cond[col] = abs(bil) / float(np.sum(np.abs(raw) ** 2))
-        if cond[col] < _NORM_FLOOR:
-            ill.append(int(col))
-            continue
-        psi = raw / np.sqrt(bil)
-        pivot = int(np.argmax(np.abs(psi)))
-        if psi[pivot].real < 0 or (psi[pivot].real == 0 and psi[pivot].imag < 0):
-            psi = -psi
-        vec[:, col] = psi
-        norms[col] = float(np.sum(np.abs(psi) ** 2))
-    if ill:
-        raise IllConditionedNormalizationError(
-            "states too close to an exceptional point for c-normalization",
-            state_indices=tuple(ill),
-        )
+    if cols.size:
+        bil, herm = _raw_overlaps(e_act, eps[act], v[act] ** 2)
+        cond[cols] = np.abs(bil) / herm
+        ill = cols[cond[cols] < _NORM_FLOOR]
+        if ill.size:
+            raise IllConditionedNormalizationError(
+                "states too close to an exceptional point for c-normalization",
+                state_indices=tuple(int(c) for c in ill),
+            )
+        norms[cols] = 1.0 / cond[cols]
     return Spectrum(
         energies=e_sorted,
         iterations=its,
         residual=last,
-        vectors=vec,
         hermitian_norms=norms,
         condition=cond,
+        _build_vectors=partial(_c_normalized_vectors, order, act, cols, e_act, eps[act], v[act]),
     )
 
 
@@ -412,6 +458,8 @@ def dense_oracle(model: EffectiveModel, coupling, dps: int = 40) -> np.ndarray:
     polynomial root finder.  Shares no code path with the secular iteration.
     Intended for cross checks at modest N; cost grows like N^4 multiplies.
     """
+    from mpmath import mp
+
     lam = _as_lambda(coupling)
     n = model.n
     with mp.workdps(dps):

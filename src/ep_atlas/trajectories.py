@@ -13,14 +13,12 @@ at such points.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .errors import TrajectoryAmbiguityError
-from .models import EffectiveModel
+from .models import EffectiveModel, phase_factor
 from .secular import eigen_spectrum
 
 _MATCH_FACTOR = 0.45
@@ -112,7 +110,7 @@ def sweep(
     lam = np.asarray(list(lam_values), dtype=float)
     if lam.size == 0:
         raise ValueError("empty coupling grid")
-    phase = complex(math.cos(math.radians(phi)), math.sin(math.radians(phi)))
+    phase = phase_factor(phi)
     cs = lam * phase
     rows = np.empty((lam.size, model.n), dtype=complex)
     rows[0] = eigen_spectrum(model, cs[0]).energies
@@ -145,6 +143,34 @@ class TurningPoint:
     width: float
 
 
+def _find_peaks(x: np.ndarray, prominence: float) -> np.ndarray:
+    """Indices of interior local maxima of x with at least the given prominence.
+
+    Same result as scipy.signal.find_peaks(x, prominence=prominence): a flat
+    run of equal samples counts once, at its midpoint (rounded down), when
+    both neighbouring runs are strictly lower; a run touching either end is
+    never a peak.  A peak's base on each side is the minimum of x between it
+    and the first strictly higher sample (or the array end), and its
+    prominence is its height above the higher of the two bases.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.size < 3:
+        return np.empty(0, dtype=np.intp)
+    starts = np.concatenate(([0], np.flatnonzero(x[1:] != x[:-1]) + 1))
+    ends = np.append(starts[1:] - 1, x.size - 1)
+    top = x[starts]
+    k = np.flatnonzero((top[1:-1] > top[:-2]) & (top[1:-1] > top[2:])) + 1
+    peaks = (starts[k] + ends[k]) // 2
+    keep = []
+    for p in peaks:
+        lo = np.flatnonzero(~(x[:p] <= x[p]))
+        hi = np.flatnonzero(~(x[p + 1 :] <= x[p]))
+        left = x[(lo[-1] + 1 if lo.size else 0) : p + 1].min()
+        right = x[p : (p + 1 + hi[0] if hi.size else x.size)].min()
+        keep.append(x[p] - max(left, right) >= prominence)
+    return peaks[np.array(keep, dtype=bool)]
+
+
 def turning_points(traj: Trajectory, *, prominence: float = 1e-4) -> list[TurningPoint]:
     """Interior maxima of each state's width along the sweep.
 
@@ -157,7 +183,7 @@ def turning_points(traj: Trajectory, *, prominence: float = 1e-4) -> list[Turnin
     g = traj.widths
     lam = traj.lambdas
     for k in range(traj.n_states):
-        idx, _ = find_peaks(g[:, k], prominence=prominence)
+        idx = _find_peaks(g[:, k], prominence)
         for i in idx:
             if 0 < i < lam.size - 1:
                 y0, y1, y2 = g[i - 1, k], g[i, k], g[i + 1, k]
@@ -234,7 +260,7 @@ def order_parameter(model: EffectiveModel, lam_values, phi: float = 0.0) -> Orde
     Gamma_0/N an order parameter for it.
     """
     lam = np.asarray(list(lam_values), dtype=float)
-    phase = complex(math.cos(math.radians(phi)), math.sin(math.radians(phi)))
+    phase = phase_factor(phi)
     g0 = np.empty(lam.size)
     prev = None
     for i, s in enumerate(lam):

@@ -188,6 +188,62 @@ def test_cold_solve_memory_is_bounded():
     assert peak < 32 * 2**20
 
 
+@pytest.mark.parametrize("phi", [0.0, 45.0])
+@pytest.mark.parametrize("name", sorted(CROSS_MODELS))
+def test_norms_match_dense_eigenvectors(name, phi):
+    m = CROSS_MODELS[name]()
+    for lam in (0.1, 0.33, 2.0):
+        c = CouplingParameter(lam, phi)
+        spec = eigen_spectrum(m, c, compute_vectors=True)
+        w, vr = np.linalg.eig(m.hamiltonian(c))
+        vr = vr / np.sqrt(np.einsum("ki,ki->i", vr, vr))  # c-normalize: psi^T psi = 1
+        herm = np.sum(np.abs(vr) ** 2, axis=0)
+        raw = vr / np.linalg.norm(vr, axis=0)  # any scale: condition is scale-invariant
+        cond = np.abs(np.einsum("ki,ki->i", raw, raw))
+        # pair each LAPACK eigenvalue with the nearest secular one
+        j = np.abs(w[:, None] - spec.energies[None, :]).argmin(axis=1)
+        assert np.unique(j).size == m.n
+        coupled = m.couplings[np.argmax(np.abs(vr), axis=0)] != 0
+        np.testing.assert_allclose(spec.hermitian_norms[j], herm, rtol=1e-9)
+        np.testing.assert_allclose(spec.condition[j[coupled]], cond[coupled], rtol=1e-9)
+        assert np.all(np.isinf(spec.condition[j[~coupled]]))
+        live = np.isfinite(spec.condition)
+        np.testing.assert_array_equal(spec.hermitian_norms[live], 1.0 / spec.condition[live])
+        from_vectors = np.sum(np.abs(spec.vectors) ** 2, axis=0)
+        np.testing.assert_allclose(from_vectors, spec.hermitian_norms, rtol=1e-13)
+
+
+def test_vectors_are_built_only_when_read():
+    # norms and condition need no N x N matrix; one complex 3001 x 3001 array is 144 MB
+    m = build_perturbed_fence(3001, 0.1, 1)
+    tracemalloc.start()
+    try:
+        spec = eigen_spectrum(m, CouplingParameter(0.05, 0.0), compute_vectors=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert np.all(spec.hermitian_norms >= 1.0 - 1e-12)
+    assert "vectors" not in vars(spec)
+    vec = spec.vectors
+    assert vec.shape == (3001, 3001)
+    assert spec.vectors is vec  # cached after the first read
+
+
+def test_secular_eval_memory_is_bounded():
+    m = build_perturbed_fence(3001, 0.1, 1)
+    c = CouplingParameter(0.3, 0.0)
+    roots = eigen_spectrum(m, c).energies
+    tracemalloc.start()
+    try:
+        vals = secular_eval(m, roots, c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert np.max(np.abs(vals)) < 1e-8 * float(np.abs(1j / c.value))
+
+
 def test_row_blocks_do_not_change_results(monkeypatch):
     # one row per block must reproduce the single-block iteration bit for bit
     m = build_perturbed_fence(40, 0.3, 2)

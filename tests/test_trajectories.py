@@ -15,6 +15,7 @@ from ep_atlas import (
     turning_points,
     width_partition,
 )
+from ep_atlas.trajectories import _find_peaks
 
 # real-axis coalescence coupling of the 4-level unit ladder (exact resultant root)
 FENCE4_REAL_EP = 0.412011997789875
@@ -102,3 +103,16 @@ def test_sweep_perturbed_fence_strict_policy():
     m = build_perturbed_fence(9, 0.2, seed=3)
     traj = sweep(m, np.arange(0.05, 1.0, 0.05), policy="raise")
     assert traj.ambiguous_intervals == ()
+
+
+def test_peak_finder_matches_scipy():
+    signal = pytest.importorskip("scipy.signal")
+    rng = np.random.default_rng(3)
+    cases = [np.arange(30.0), -np.arange(30.0), np.ones(12), np.array([0.0, 1, 1, 1, 0]), np.array([1.0, 1, 0, 2, 2])]
+    for n in range(0, 60, 3):
+        cases.append(rng.normal(size=n))  # random
+        cases.append(rng.integers(0, 4, size=n).astype(float))  # plateaus, ties between peaks
+    for x in cases:
+        for prom in (0.0, 1e-4, 0.5, 2.0):
+            want, _ = signal.find_peaks(x, prominence=prom)
+            np.testing.assert_array_equal(_find_peaks(x, prom), want)
