@@ -39,7 +39,7 @@ from .models import (
     build_spacing_ensemble,
     build_two_level,
 )
-from .secular import Spectrum, dense_oracle, eigen_spectrum, secular_eval, two_level_closed_form
+from .secular import Spectrum, eigen_spectrum, secular_eval, two_level_closed_form
 from .exceptional import (
     AccumulationResult,
     AccumulationRow,
@@ -47,7 +47,6 @@ from .exceptional import (
     accumulation_scan,
     expand_ep_set,
     find_eps,
-    resultant_oracle,
     two_level_eps,
 )
 from .trajectories import (
@@ -73,6 +72,7 @@ from .asymptotics import (
     trapped_width,
     weak_coupling_width,
 )
+from .oracles import dense_oracle, resultant_oracle
 from .monodromy import LoopResult, OmegaComparison, loop_ep, omega_comparison, theta_along, theta_of, two_level_loop
 
 __version__ = "0.1.0"

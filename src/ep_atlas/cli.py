@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import LADDER_CRITICAL, classify_compensation, critical_coupling
-from .collectivity import b_curve, find_peak
+from .collectivity import BPeak, b_curve, find_peak
 from .errors import ConfigError, EpAtlasError, InvalidModelError
 from .exceptional import accumulation_scan, find_eps, two_level_eps
 from .models import (
@@ -41,7 +41,7 @@ from .models import (
     build_two_level,
     phase_factor,
 )
-from .monodromy import loop_ep, omega_comparison, theta_along, theta_of
+from .monodromy import _contour, loop_ep, omega_comparison, theta_along, theta_of
 from .runio import format_value, parse_config, resolve_out, write_csv, write_json, write_manifest
 from .secular import eigen_spectrum  # noqa: F401  (bench/tracer.py wraps it here)
 from .trajectories import order_parameter, sweep, turning_points
@@ -184,6 +184,29 @@ def _b_values(model: EffectiveModel, phi: float, grid: np.ndarray, jobs: int) ->
 # ---------------------------------------------------------------------------
 # runners
 
+_NO_PEAK = BPeak(lam=math.nan, value=math.nan, descent_ratio=math.nan)
+
+
+def _peak(grid: np.ndarray, b: np.ndarray) -> tuple[BPeak, int]:
+    """The B peak and 1, or a peak of NaNs and 0 when the curve has none."""
+    pk = find_peak(grid, b)
+    return (pk, 1) if pk is not None else (_NO_PEAK, 0)
+
+
+def _trajectory_cols(grid: np.ndarray, energies: np.ndarray, keep: np.ndarray) -> dict:
+    """One row per kept (grid point, state), grid point major."""
+    i, k = np.nonzero(keep)
+    e = energies[i, k]
+    return {"lam": grid[i], "state": k, "re_energy": e.real, "im_energy": e.imag}
+
+
+def _ep_cols(lam, energy) -> dict:
+    """Coupling and energy columns of points in the coupling plane."""
+    lam = np.asarray(lam, dtype=complex)
+    energy = np.asarray(energy, dtype=complex)
+    return {"re_lambda": lam.real, "im_lambda": lam.imag, "re_energy": energy.real, "im_energy": energy.imag}
+
+
 def _run_fig1(cfg, out):
     emit, ext = _writer(cfg)
     grid = _grid_from(cfg, 0.001, 2.0, 0.001)
@@ -191,31 +214,23 @@ def _run_fig1(cfg, out):
     ns = [_get(cfg, "n", 0, int)] if cfg.get("n") else [15, 43]
     cfg.setdefault("n", ",".join(str(n) for n in ns))
     files = []
-    cross_cols = {k: [] for k in ("n", "pair_id", "re_lambda", "im_lambda", "re_energy", "im_energy")}
+    cross = []
     for n in ns:
         model = build_picket_fence(n)
         traj = sweep(model, grid, phi, policy="sorted")
         keep = traj.energies.real >= -1e-9  # mirror-symmetric spectrum: emit the positive half
-        cols = {"lam": [], "state": [], "re_energy": [], "im_energy": []}
-        for i in range(grid.size):
-            for k in np.flatnonzero(keep[i]):
-                cols["lam"].append(float(grid[i]))
-                cols["state"].append(int(k))
-                cols["re_energy"].append(float(traj.energies[i, k].real))
-                cols["im_energy"].append(float(traj.energies[i, k].imag))
         meta = {
             "n": n, "phi_deg": phi, "half": "re_energy >= 0",
             "ambiguous_intervals": ";".join("%r:%r" % iv for iv in traj.ambiguous_intervals) or "none",
         }
+        cols = _trajectory_cols(grid, traj.energies, keep)
         files.append(emit(out / ("fig1_trajectories_n%d%s" % (n, ext)), meta, cols))
-        for p in find_eps(model):
-            if p.energy.real >= -1e-9:
-                cross_cols["n"].append(n)
-                cross_cols["pair_id"].append(p.pair_id)
-                cross_cols["re_lambda"].append(float(p.coupling.real))
-                cross_cols["im_lambda"].append(float(p.coupling.imag))
-                cross_cols["re_energy"].append(float(p.energy.real))
-                cross_cols["im_energy"].append(float(p.energy.imag))
+        cross += [(n, p) for p in find_eps(model) if p.energy.real >= -1e-9]
+    cross_cols = {
+        "n": [n for n, _ in cross],
+        "pair_id": [p.pair_id for _, p in cross],
+        **_ep_cols([p.coupling for _, p in cross], [p.energy for _, p in cross]),
+    }
     files.append(emit(out / ("fig1_crossings" + ext), {"half": "re_energy >= 0", "phi_deg": phi}, cross_cols))
     return files
 
@@ -243,14 +258,14 @@ def _run_fig2(cfg, out):
     }
     meta = {"target": repr(scan.target), "lambda_c_estimate": repr(scan.lambda_c_estimate)}
     files = [emit(out / ("fig2_accumulation" + ext), meta, summary)]
-    pts = {k: [] for k in ("n", "re_lambda", "im_lambda", "near_axis", "distance")}
-    for r in scan.rows:
-        for lam, near in zip(r.couplings, r.near_axis):
-            pts["n"].append(r.n)
-            pts["re_lambda"].append(float(lam.real))
-            pts["im_lambda"].append(float(lam.imag))
-            pts["near_axis"].append(int(near))
-            pts["distance"].append(float(abs(lam - scan.target)))
+    lam = np.concatenate([r.couplings for r in scan.rows])
+    pts = {
+        "n": np.repeat([r.n for r in scan.rows], [r.couplings.size for r in scan.rows]),
+        "re_lambda": lam.real,
+        "im_lambda": lam.imag,
+        "near_axis": np.concatenate([r.near_axis for r in scan.rows]).astype(int),
+        "distance": [abs(z - scan.target) for z in lam],  # scalar abs: np.abs on arrays rounds differently
+    }
     files.append(emit(out / ("fig2_points" + ext), meta, pts))
     return files
 
@@ -285,22 +300,19 @@ def _run_fig3(cfg, out):
         bundle = list(_FIG3_BUNDLE)
     else:
         bundle = [(system, _get(cfg, "n", 101, int))]
-    cols = {"system": [], "n": [], "lam": [], "b": []}
-    peaks = {k: [] for k in ("system", "n", "has_peak", "peak_lam", "peak_value", "descent_ratio")}
+    bs, rows = [], []
     for name, n in bundle:
-        model = _fig3_model(name, n, amplitude, seed)
-        b = _b_values(model, phi, grid, jobs)
-        cols["system"] += [name] * grid.size
-        cols["n"] += [n] * grid.size
-        cols["lam"] += [float(x) for x in grid]
-        cols["b"] += [float(x) for x in b]
-        pk = find_peak(grid, b)
-        peaks["system"].append(name)
-        peaks["n"].append(n)
-        peaks["has_peak"].append(int(pk is not None))
-        peaks["peak_lam"].append(pk.lam if pk else float("nan"))
-        peaks["peak_value"].append(pk.value if pk else float("nan"))
-        peaks["descent_ratio"].append(pk.descent_ratio if pk else float("nan"))
+        b = _b_values(_fig3_model(name, n, amplitude, seed), phi, grid, jobs)
+        pk, has = _peak(grid, b)
+        bs.append(b)
+        rows.append((name, n, has, pk.lam, pk.value, pk.descent_ratio))
+    cols = {
+        "system": np.repeat([name for name, _ in bundle], grid.size),
+        "n": np.repeat([n for _, n in bundle], grid.size),
+        "lam": np.tile(grid, len(bundle)),
+        "b": np.concatenate(bs),
+    }
+    peaks = dict(zip(("system", "n", "has_peak", "peak_lam", "peak_value", "descent_ratio"), zip(*rows)))
     meta = {
         "phi_deg": phi,
         "lambda_c_ladder": repr(LADDER_CRITICAL),
@@ -314,17 +326,20 @@ def _run_fig3(cfg, out):
     ]
 
 
-def _ep_rows(model_name: str, model: EffectiveModel, cols: dict):
-    for p in find_eps(model):
-        for rep, lam, e in ((1, p.coupling, p.energy), (0, p.partner, np.conj(p.energy))):
-            cols["system"].append(model_name)
-            cols["pair_id"].append(p.pair_id)
-            cols["representative"].append(rep)
-            cols["re_lambda"].append(float(lam.real))
-            cols["im_lambda"].append(float(lam.imag))
-            cols["re_energy"].append(float(np.real(e)))
-            cols["im_energy"].append(float(np.imag(e)))
-            cols["residual"].append(float(p.residual))
+def _ep_rows(systems) -> dict:
+    """Both mirror partners of every exceptional point of each (name, model), representative first."""
+    rows = [(name, p) for name, model in systems for p in find_eps(model)]
+    pts = [p for _, p in rows]
+    return {
+        "system": np.repeat([name for name, _ in rows], 2),
+        "pair_id": np.repeat([p.pair_id for p in pts], 2),
+        "representative": np.tile([1, 0], len(pts)),
+        **_ep_cols(
+            np.ravel([(p.coupling, p.partner) for p in pts]),
+            np.ravel([(p.energy, np.conj(p.energy)) for p in pts]),
+        ),
+        "residual": np.repeat([p.residual for p in pts], 2),
+    }
 
 
 def _run_fig4(cfg, out):
@@ -332,9 +347,7 @@ def _run_fig4(cfg, out):
     n = _get(cfg, "n", 19, int)
     amplitude = _get(cfg, "amplitude", 0.1, float)
     seed = _get(cfg, "seed", 1, int)
-    cols = {k: [] for k in ("system", "pair_id", "representative", "re_lambda", "im_lambda", "re_energy", "im_energy", "residual")}
-    _ep_rows("ideal", build_picket_fence(n), cols)
-    _ep_rows("perturbed", build_perturbed_fence(n, amplitude, seed), cols)
+    cols = _ep_rows([("ideal", build_picket_fence(n)), ("perturbed", build_perturbed_fence(n, amplitude, seed))])
     meta = {"n": n, "amplitude": amplitude, "seed": seed, "lambda_c_ladder": repr(LADDER_CRITICAL)}
     return [emit(out / ("fig4_eps" + ext), meta, cols)]
 
@@ -346,37 +359,23 @@ def _run_sweep(cfg, out):
     phi = _get(cfg, "phi", 0.0, float)
     policy = _get(cfg, "ambiguity", "sorted", str)
     traj = sweep(model, grid, phi, policy=policy)
-    cols = {"lam": [], "state": [], "re_energy": [], "im_energy": []}
-    for i in range(grid.size):
-        for k in range(traj.n_states):
-            cols["lam"].append(float(grid[i]))
-            cols["state"].append(k)
-            cols["re_energy"].append(float(traj.energies[i, k].real))
-            cols["im_energy"].append(float(traj.energies[i, k].imag))
     meta = {
         "model": cfg.get("model", "picket"), "n": model.n, "phi_deg": phi,
         "ambiguous_intervals": ";".join("%r:%r" % iv for iv in traj.ambiguous_intervals) or "none",
     }
+    cols = _trajectory_cols(grid, traj.energies, np.ones(traj.energies.shape, dtype=bool))
     files = [emit(out / ("sweep_trajectories" + ext), meta, cols)]
-    pts = {k: [] for k in ("kind", "index", "re_lambda", "im_lambda", "re_energy", "im_energy", "width")}
-    phase = phase_factor(phi)
-    for tp in turning_points(traj):
-        lam_c = tp.lam * phase
-        pts["kind"].append("turning")
-        pts["index"].append(tp.state)
-        pts["re_lambda"].append(float(lam_c.real))
-        pts["im_lambda"].append(float(lam_c.imag))
-        pts["re_energy"].append(float("nan"))
-        pts["im_energy"].append(float("nan"))
-        pts["width"].append(tp.width)
-    for p in find_eps(model):
-        pts["kind"].append("crossing")
-        pts["index"].append(p.pair_id)
-        pts["re_lambda"].append(float(p.coupling.real))
-        pts["im_lambda"].append(float(p.coupling.imag))
-        pts["re_energy"].append(float(p.energy.real))
-        pts["im_energy"].append(float(p.energy.imag))
-        pts["width"].append(float(-2.0 * p.energy.imag))
+    tps = turning_points(traj)
+    eps = find_eps(model)
+    pts = {
+        "kind": ["turning"] * len(tps) + ["crossing"] * len(eps),
+        "index": [tp.state for tp in tps] + [p.pair_id for p in eps],
+        **_ep_cols(
+            [tp.lam * phase_factor(phi) for tp in tps] + [p.coupling for p in eps],
+            [complex(math.nan, math.nan)] * len(tps) + [p.energy for p in eps],
+        ),
+        "width": [tp.width for tp in tps] + [-2.0 * p.energy.imag for p in eps],
+    }
     files.append(emit(out / ("sweep_points" + ext), meta, pts))
     return files
 
@@ -384,8 +383,7 @@ def _run_sweep(cfg, out):
 def _run_eps(cfg, out):
     emit, ext = _writer(cfg)
     model = _model_from(cfg, 15)
-    cols = {k: [] for k in ("system", "pair_id", "representative", "re_lambda", "im_lambda", "re_energy", "im_energy", "residual")}
-    _ep_rows(cfg.get("model", "picket"), model, cols)
+    cols = _ep_rows([(cfg.get("model", "picket"), model)])
     meta = {"model": cfg.get("model", "picket"), "n": model.n}
     return [emit(out / ("eps" + ext), meta, cols)]
 
@@ -396,17 +394,16 @@ def _run_bcurve(cfg, out):
     grid = _grid_from(cfg, 0.05, 1.0, 0.005)
     phi = _get(cfg, "phi", 0.0, float)
     b = _b_values(model, phi, grid, _jobs(cfg))
-    pk = find_peak(grid, b)
+    pk, has = _peak(grid, b)
     meta = {
         "model": cfg.get("model", "picket"), "n": model.n, "phi_deg": phi,
         "flagged": int(np.count_nonzero(~np.isfinite(b))),
-        "has_peak": int(pk is not None),
-        "peak_lam": repr(pk.lam) if pk else "nan",
-        "peak_value": repr(pk.value) if pk else "nan",
-        "descent_ratio": repr(pk.descent_ratio) if pk else "nan",
+        "has_peak": has,
+        "peak_lam": repr(pk.lam),
+        "peak_value": repr(pk.value),
+        "descent_ratio": repr(pk.descent_ratio),
     }
-    cols = {"lam": [float(x) for x in grid], "b": [float(x) for x in b]}
-    return [emit(out / ("bcurve" + ext), meta, cols)]
+    return [emit(out / ("bcurve" + ext), meta, {"lam": grid, "b": b})]
 
 
 def _run_order(cfg, out):
@@ -417,10 +414,10 @@ def _run_order(cfg, out):
     curve = order_parameter(model, grid, phi)
     meta = {"model": cfg.get("model", "picket"), "n": model.n, "phi_deg": phi, "lambda_c_ladder": repr(LADDER_CRITICAL)}
     cols = {
-        "lam": [float(x) for x in curve.lambdas],
-        "gamma0": [float(x) for x in curve.gamma0],
-        "gamma0_over_n": [float(x) for x in curve.gamma0_over_n],
-        "slope_over_n": [float(x) for x in curve.derivative_over_n],
+        "lam": curve.lambdas,
+        "gamma0": curve.gamma0,
+        "gamma0_over_n": curve.gamma0_over_n,
+        "slope_over_n": curve.derivative_over_n,
     }
     return [emit(out / ("order" + ext), meta, cols)]
 
@@ -438,16 +435,14 @@ def _run_loop(cfg, out):
     radius = float(radius) if radius else 0.4 * abs(ep.coupling - ep.partner) / 2.0
     cfg["radius"] = repr(radius)
     res = loop_ep(model, ep.coupling, radius, windings=windings, samples=samples)
-    orient = -1.0 if windings > 0 else 1.0
-    t = np.arange(res.samples + 1) / float(res.samples // abs(windings))
-    contour = ep.coupling + radius * np.exp(orient * 2j * np.pi * t)
+    t, contour = _contour(ep.coupling, radius, windings, res.samples // abs(windings))
     theta = theta_along(eps1, eps2, omega, contour)
     cols = {
-        "winding_t": [float(x) for x in t],
-        "re_lambda": [float(z.real) for z in contour],
-        "im_lambda": [float(z.imag) for z in contour],
-        "re_theta": [float(x.real) for x in theta],
-        "im_theta": [float(x.imag) for x in theta],
+        "winding_t": t,
+        "re_lambda": contour.real,
+        "im_lambda": contour.imag,
+        "re_theta": theta.real,
+        "im_theta": theta.imag,
     }
     meta = {
         "eps1": eps1, "eps2": eps2, "omega_deg": omega,
@@ -461,26 +456,24 @@ def _run_loop(cfg, out):
     files = [emit(out / ("loop_contour" + ext), meta, cols)]
     delta = _get(cfg, "delta", 1.0, float)
     factor = _get(cfg, "lam_factor", 100.0, float)
-    rows = {k: [] for k in ("omega_deg", "lam", "re_tan_theta", "im_tan_theta", "tan_theta_limit", "predicted", "prediction", "deviation", "theta_end_deg")}
-    theta_ends = []
+    rows, theta_ends = [], []
     for w in (45.0 - delta, 45.0 + delta):
         comp = omega_comparison(eps1, eps2, w, lam_factor=factor)
         th = theta_of(eps1, eps2, w, comp.lam)
         theta_ends.append(th)
-        rows["omega_deg"].append(w)
-        rows["lam"].append(comp.lam)
-        rows["re_tan_theta"].append(float(comp.tan_theta.real))
-        rows["im_tan_theta"].append(float(comp.tan_theta.imag))
-        rows["tan_theta_limit"].append(comp.tan_theta_limit)
-        rows["predicted"].append(comp.predicted)
-        rows["prediction"].append(comp.prediction)
-        rows["deviation"].append(comp.deviation)
-        rows["theta_end_deg"].append(float(math.degrees(th.real)))
+        rows.append((
+            w, comp.lam, comp.tan_theta.real, comp.tan_theta.imag, comp.tan_theta_limit,
+            comp.predicted, comp.prediction, comp.deviation, math.degrees(th.real),
+        ))
+    names = (
+        "omega_deg", "lam", "re_tan_theta", "im_tan_theta", "tan_theta_limit",
+        "predicted", "prediction", "deviation", "theta_end_deg",
+    )
     meta2 = {
         "delta_deg": delta, "lam_factor": factor,
         "phase_difference_deg": repr(abs(math.degrees((theta_ends[1] - theta_ends[0]).real))),
     }
-    files.append(emit(out / ("omega_check" + ext), meta2, rows))
+    files.append(emit(out / ("omega_check" + ext), meta2, dict(zip(names, zip(*rows)))))
     return files
 
 
@@ -494,21 +487,16 @@ def _run_classify(cfg, out):
         pairs = [(float(cfg["r"]), float(cfg["t"]))]
     else:
         pairs = [(0.0, 2.0), (1.0, 4.0), (0.0, 4.0)]
-    cols = {k: [] for k in ("r", "t", "class", "predicted_lambda_c", "peak_lam", "peak_value", "has_peak")}
+    rows = []
     for r, t in pairs:
         cls = classify_compensation(r, t)
-        model = build_power_law(n, r, t)
-        b = _b_values(model, phi, grid, jobs)
-        pk = find_peak(grid, b)
-        cols["r"].append(r)
-        cols["t"].append(t)
-        cols["class"].append(cls)
-        cols["predicted_lambda_c"].append(critical_coupling(r, t) if cls == "compensated" else float("nan"))
-        cols["peak_lam"].append(pk.lam if pk else float("nan"))
-        cols["peak_value"].append(pk.value if pk else float("nan"))
-        cols["has_peak"].append(int(pk is not None))
+        b = _b_values(build_power_law(n, r, t), phi, grid, jobs)
+        pk, has = _peak(grid, b)
+        predicted = critical_coupling(r, t) if cls == "compensated" else math.nan
+        rows.append((r, t, cls, predicted, pk.lam, pk.value, has))
+    names = ("r", "t", "class", "predicted_lambda_c", "peak_lam", "peak_value", "has_peak")
     meta = {"n": n, "phi_deg": phi}
-    return [emit(out / ("classify" + ext), meta, cols)]
+    return [emit(out / ("classify" + ext), meta, dict(zip(names, zip(*rows))))]
 
 
 # ---------------------------------------------------------------------------

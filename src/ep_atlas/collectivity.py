@@ -20,6 +20,7 @@ import numpy as np
 from .errors import IllConditionedNormalizationError
 from .models import EffectiveModel, phase_factor
 from .secular import eigen_spectrum
+from .trajectories import _vertex
 
 _PEAK_DESCENT = 0.25  # interior peak must account for this share of the curve's range
 
@@ -87,12 +88,7 @@ def find_peak(lambdas: np.ndarray, values: np.ndarray) -> BPeak | None:
     ratio = float((b[i] - max(b[0], b[-1])) / spread)
     if ratio < _PEAK_DESCENT:
         return None
-    y0, y1, y2 = b[i - 1], b[i], b[i + 1]
-    denom = y0 - 2 * y1 + y2
-    off = 0.5 * (y0 - y2) / denom if denom != 0 else 0.0
-    off = float(np.clip(off, -1.0, 1.0))
-    x = lam[i] + off * (lam[i + 1] - lam[i - 1]) / 2.0
-    return BPeak(lam=float(x), value=float(y1), descent_ratio=ratio)
+    return BPeak(lam=_vertex(lam, b, i), value=float(b[i]), descent_ratio=ratio)
 
 
 def b_curve(model: EffectiveModel, lam_values, phi: float = 0.0) -> BCurve:

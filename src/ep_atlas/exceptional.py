@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IncompleteSearchError, OracleRangeError
+from .errors import IncompleteSearchError
 from .models import EffectiveModel, build_picket_fence
 from .secular import _aberth, _separate
 
@@ -219,36 +219,6 @@ def two_level_eps(eps1: float, eps2: float, omega_deg: float) -> ExceptionalPoin
     e = (eps1 + eps2) / 2.0 + (gap / 2.0) * np.exp(-2j * w)
     e, lam = _canonical(complex(e), complex(lam))
     return ExceptionalPoint(lam, e, -np.conj(lam), 0.0, 0)
-
-
-def resultant_oracle(model: EffectiveModel, *, digits: int = 30) -> np.ndarray:
-    """Exceptional couplings by exact elimination; independent cross check.
-
-    Builds the characteristic polynomial symbolically, eliminates the energy
-    with a Sylvester resultant against its derivative, and root-solves the
-    resulting coupling polynomial of degree 2(N-1) at high precision.  Exact
-    rational arithmetic throughout the elimination, so the only error is in
-    the final root extraction.  Limited to N <= 6 coupled levels; raises
-    OracleRangeError beyond that.
-    """
-    import sympy as sp
-
-    eps, v2 = _active(model)
-    m = eps.size
-    if m > 6:
-        raise OracleRangeError("exact elimination is limited to 6 coupled levels, got %d" % m)
-    if m < 2:
-        return np.zeros(0, dtype=complex)
-    E, L = sp.symbols("E L")
-    epsr = [sp.Rational(float(x)) for x in eps]
-    v2r = [sp.Rational(float(x)) for x in v2]
-    base = [sp.prod([(E - epsr[j]) for j in range(m) if j != k]) for k in range(m)]
-    p = sp.expand(sp.prod([(E - e) for e in epsr]) + sp.I * L * sum(w * b for w, b in zip(v2r, base)))
-    res = sp.resultant(p, sp.diff(p, E), E)
-    poly = sp.Poly(sp.expand(res), L)
-    roots = sp.nroots(poly, n=digits, maxsteps=200)
-    out = np.array([complex(r) for r in roots], dtype=complex)
-    return out[np.lexsort((out.imag, out.real))]
 
 
 @dataclass(frozen=True)

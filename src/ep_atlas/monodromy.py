@@ -28,22 +28,9 @@ import numpy as np
 
 from .errors import ContourError, ResolutionError, ThetaSingularError
 from .models import EffectiveModel, build_two_level, phase_factor
-from .secular import eigen_spectrum
+from .secular import _two_level_quadratic, eigen_spectrum
 from .exceptional import expand_ep_set, find_eps
-
-
-def _assign(prev: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """Greedy proximity assignment prev[i] -> new[idx[i]], confident rows first."""
-    n = prev.size
-    cost = np.abs(prev[:, None] - new[None, :])
-    idx = np.empty(n, dtype=int)
-    taken = np.zeros(n, dtype=bool)
-    for i in np.argsort(cost.min(axis=1)):
-        row = np.where(taken, np.inf, cost[i])
-        j = int(np.argmin(row))
-        idx[i] = j
-        taken[j] = True
-    return idx
+from .trajectories import _assign
 
 
 @dataclass(frozen=True)
@@ -117,6 +104,16 @@ def _transport(model, contour):
     return spec0, e, v, worst
 
 
+def _contour(center: complex, radius: float, windings: int, per_wind: int):
+    """Winding parameter t in [0, |windings|] and the circle Lambda(t) it traces.
+
+    per_wind samples per winding; positive windings run clockwise.
+    """
+    t = np.arange(per_wind * abs(int(windings)) + 1) / float(per_wind)
+    orient = -1.0 if windings > 0 else 1.0
+    return t, center + radius * np.exp(orient * 2j * np.pi * t)
+
+
 def loop_ep(
     model: EffectiveModel,
     center: complex,
@@ -159,11 +156,8 @@ def loop_ep(
         raise ContourError("contour encloses %d exceptional points; isolate one" % inside.size)
 
     per_wind = int(samples)
-    orient = -1.0 if windings > 0 else 1.0  # positive windings run clockwise
     for _ in range(max_refinements + 1):
-        n_samp = per_wind * abs(int(windings))
-        t = np.arange(n_samp + 1) / float(per_wind)  # angle in windings
-        contour = center + radius * np.exp(orient * 2j * np.pi * t)
+        _, contour = _contour(center, radius, windings, per_wind)
         spec0, e_end, v_end, worst = _transport(model, contour)
         if worst >= min_overlap:
             m = v_end.T @ spec0.vectors  # rows: transported states in the initial basis
@@ -179,7 +173,7 @@ def loop_ep(
                 signs=signs,
                 min_overlap=worst,
                 matrix_error=float(np.abs(m - ideal).max()),
-                samples=n_samp,
+                samples=contour.size - 1,
                 windings=int(windings),
                 enclosed=tuple(complex(z) for z in inside),
             )
@@ -236,23 +230,8 @@ def theta_of(eps1: float, eps2: float, omega_deg: float, lam: float, phi: float 
         raise ValueError("lambda must be nonnegative")
     if lam == 0 or c == 0 or s == 0:
         return 0j
-    phase = phase_factor(phi)
-    gap = e2 - e1
-    e_prev = complex(e1)
-    theta = 0j
-    for lam_k in _lambda_grid(lam, gap, n_steps)[1:]:
-        lam_c = lam_k * phase
-        il = 1j * lam_c
-        disc = gap * gap + 2 * il * gap * (c * c - s * s) + il * il
-        if abs(disc) < 1e-12 * (gap * gap + abs(lam_c) ** 2):
-            raise ThetaSingularError("coupling ray passes through the coalescence point")
-        root = cmath.sqrt(disc)
-        mean = (e1 + e2 - il) / 2.0
-        cand = (mean - root / 2.0, mean + root / 2.0)
-        e_now = min(cand, key=lambda z: abs(z - e_prev))
-        theta = _atan_near(_tan_theta(e_now, e1, lam_c, c, s), theta)
-        e_prev = e_now
-    return theta
+    path = _lambda_grid(lam, e2 - e1, n_steps) * phase_factor(phi)
+    return complex(theta_along(eps1, eps2, omega_deg, path)[-1])
 
 
 def theta_along(eps1: float, eps2: float, omega_deg: float, couplings) -> np.ndarray:
@@ -270,6 +249,7 @@ def theta_along(eps1: float, eps2: float, omega_deg: float, couplings) -> np.nda
     if path.size == 0:
         raise ValueError("empty coupling path")
     gap = e2 - e1
+    c2w = c * c - s * s
     thetas = np.empty(path.size, dtype=complex)
     e_prev = None
     theta = 0j
@@ -278,12 +258,9 @@ def theta_along(eps1: float, eps2: float, omega_deg: float, couplings) -> np.nda
             thetas[i] = theta
             e_prev = complex(e1)
             continue
-        il = 1j * lam_c
-        disc = gap * gap + 2 * il * gap * (c * c - s * s) + il * il
-        if abs(disc) < 1e-14 * (gap * gap + abs(lam_c) ** 2):
+        mean, root = _two_level_quadratic(e1, e2, c2w, lam_c)
+        if abs(root) ** 2 < 1e-14 * (gap * gap + abs(lam_c) ** 2):
             raise ThetaSingularError("coupling path passes through the coalescence point")
-        root = cmath.sqrt(disc)
-        mean = (e1 + e2 - il) / 2.0
         cand = (mean - root / 2.0, mean + root / 2.0)
         if e_prev is None:
             e_now = min(cand, key=lambda z: z.real)
@@ -332,20 +309,18 @@ def omega_comparison(
         raise ThetaSingularError("omega = 45 degrees sits on the exceptional ray; limit undefined")
     phase = phase_factor(phi)
     gap = e2 - e1
+    c2w = c * c - s * s
     lam = lam_factor * gap
     w_prev = complex(gap)
     theta = cmath.pi / 2  # E(0) = eps2 means the vector starts aligned with the upper level
-    lam_c = 0j
     for lam_k in _lambda_grid(lam, gap, n_steps)[1:]:
         lam_c = lam_k * phase
-        il = 1j * lam_c
-        disc = gap * gap + 2 * il * gap * (c * c - s * s) + il * il
-        root = cmath.sqrt(disc)
+        mean, root = _two_level_quadratic(e1, e2, c2w, lam_c)
         if abs(root - w_prev) > abs(-root - w_prev):
             root = -root
         if abs(root) < 1e-12 * (gap * gap + abs(lam_c) ** 2) ** 0.5:
             raise ThetaSingularError("principal branch runs into the coalescence point")
-        e_now = (e1 + e2 - il) / 2.0 + root / 2.0
+        e_now = mean + root / 2.0
         theta = _atan_near(_tan_theta(e_now, e1, lam_c, c, s), theta)
         w_prev = root
     tth = cmath.tan(theta)

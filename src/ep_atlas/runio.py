@@ -46,8 +46,13 @@ def parse_config(path, allowed: set[str] | None = None) -> dict[str, str]:
     return out
 
 
+_ROWS = 4096  # rows converted to Python scalars per batch, so memory does not grow with the table
+
+
 def format_value(x) -> str:
-    """Shortest deterministic text for a cell value."""
+    """Shortest deterministic text for a cell value; numpy scalars read as Python ones."""
+    if hasattr(x, "item"):
+        x = x.item()
     if isinstance(x, bool):
         return "1" if x else "0"
     if isinstance(x, (int,)):
@@ -62,11 +67,13 @@ def format_value(x) -> str:
 def write_csv(path, meta: dict, columns: dict) -> Path:
     """CSV with a '#'-prefixed metadata block, then header and rows.
 
-    columns maps name -> sequence; all sequences must have equal length.
+    columns maps name -> sequence or numpy array; all must have equal length.
+    Rows are converted and formatted _ROWS at a time as they are written.
     """
     names = list(columns.keys())
-    cols = [list(columns[k]) for k in names]
-    if cols and any(len(c) != len(cols[0]) for c in cols):
+    cols = [columns[k] for k in names]
+    n = len(cols[0]) if cols else 0
+    if any(len(c) != n for c in cols):
         raise ValueError("columns must have equal length")
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
@@ -74,8 +81,9 @@ def write_csv(path, meta: dict, columns: dict) -> Path:
         for k in sorted(meta):
             fh.write("# %s: %s\n" % (k, meta[k]))
         fh.write(",".join(names) + "\n")
-        for row in zip(*cols) if cols else ():
-            fh.write(",".join(format_value(v) for v in row) + "\n")
+        for a in range(0, n, _ROWS):
+            for row in zip(*(_cells(c[a : a + _ROWS]) for c in cols)):
+                fh.write(",".join(format_value(v) for v in row) + "\n")
     return p
 
 
@@ -85,7 +93,7 @@ def write_json(path, meta: dict, columns: dict) -> Path:
     p.parent.mkdir(parents=True, exist_ok=True)
     doc = {
         "meta": {k: meta[k] for k in sorted(meta)},
-        "columns": {k: [_json_cell(v) for v in columns[k]] for k in columns},
+        "columns": {k: [_json_cell(v) for v in _cells(columns[k])] for k in columns},
     }
     with open(p, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
@@ -93,13 +101,18 @@ def write_json(path, meta: dict, columns: dict) -> Path:
     return p
 
 
+def _cells(column) -> list:
+    """A column as a list, numpy arrays as Python scalars."""
+    return column.tolist() if hasattr(column, "tolist") else list(column)
+
+
 def _json_cell(v):
+    if hasattr(v, "item"):
+        v = v.item()
     if isinstance(v, complex):
         return [v.real, v.imag]
     if isinstance(v, float) and v != v:
         return None  # JSON has no NaN
-    if hasattr(v, "item"):
-        return v.item()
     return v
 
 

@@ -38,6 +38,7 @@ is built only when Spectrum.vectors is first read.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable
@@ -417,7 +418,7 @@ def eigen_spectrum(
 
 
 # ---------------------------------------------------------------------------
-# closed forms and cross checks
+# closed forms
 
 def two_level_closed_form(model_or_eps1, eps2=None, omega_deg=None, coupling=None):
     """Exact pair of eigenvalues of the two-level model.
@@ -438,44 +439,17 @@ def two_level_closed_form(model_or_eps1, eps2=None, omega_deg=None, coupling=Non
         e2 = float(eps2)
         w = np.radians(float(omega_deg))
         c2w = float(np.cos(2 * w))
-    lam = _as_lambda(coupling)
-    il = 1j * lam
-    disc = (e1 - e2) ** 2 - 2 * il * (e1 - e2) * c2w + il**2
-    root = np.sqrt(complex(disc))
-    mean = (e1 + e2 - il) / 2.0
+    mean, root = _two_level_quadratic(e1, e2, c2w, _as_lambda(coupling))
     return mean - root / 2.0, mean + root / 2.0
 
 
-def _mp_trace(m) -> "mp.mpc":
-    return sum(m[i, i] for i in range(m.rows))
+def _two_level_quadratic(e1: float, e2: float, c2w: float, lam: complex) -> tuple[complex, complex]:
+    """(mean, root) of the two-level eigenvalues E = mean -+ root/2 at coupling lam.
 
-
-def dense_oracle(model: EffectiveModel, coupling, dps: int = 40) -> np.ndarray:
-    """Eigenvalues from the dense characteristic polynomial in 40-digit arithmetic.
-
-    Independent route: builds H explicitly, extracts the characteristic
-    polynomial with the Faddeev-LeVerrier recursion, and calls a general
-    polynomial root finder.  Shares no code path with the secular iteration.
-    Intended for cross checks at modest N; cost grows like N^4 multiplies.
+    root is the principal square root of the discriminant, which vanishes at
+    the exceptional point; c2w = cos(2*omega) = v_1^2 - v_2^2 for a unit
+    channel vector.
     """
-    from mpmath import mp
-
-    lam = _as_lambda(coupling)
-    n = model.n
-    with mp.workdps(dps):
-        lam_mp = mp.mpc(lam.real, lam.imag)
-        h = mp.matrix(n, n)
-        for i in range(n):
-            for j in range(n):
-                h[i, j] = -1j * lam_mp * mp.mpf(float(model.couplings[i])) * mp.mpf(float(model.couplings[j]))
-            h[i, i] += mp.mpf(float(model.epsilons[i]))
-        coeffs = [mp.mpc(1)]
-        m = mp.eye(n)
-        for k in range(1, n + 1):
-            hm = h * m
-            ak = -_mp_trace(hm) / k
-            coeffs.append(ak)
-            m = hm + ak * mp.eye(n)
-        roots = mp.polyroots(coeffs, maxsteps=200, extraprec=60)
-        out = np.array([complex(r) for r in roots], dtype=complex)
-    return out[_sorted_order(out)]
+    il = 1j * lam
+    gap = e2 - e1
+    return (e1 + e2 - il) / 2.0, cmath.sqrt(gap * gap + 2 * il * gap * c2w + il * il)

@@ -54,6 +54,25 @@ def _gaps(roots: np.ndarray) -> np.ndarray:
     return d.min(axis=1)
 
 
+def _assign(prev: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Greedy proximity assignment prev[i] -> new[idx[i]], confident rows first.
+
+    Rows are served in order of their distance to the nearest new root, so a
+    root that clearly continues one branch is matched before a root halfway
+    between two branches can take its partner.
+    """
+    n = prev.size
+    cost = np.abs(prev[:, None] - new[None, :])
+    idx = np.empty(n, dtype=int)
+    taken = np.zeros(n, dtype=bool)
+    for i in np.argsort(cost.min(axis=1)):
+        row = np.where(taken, np.inf, cost[i])
+        j = int(np.argmin(row))
+        idx[i] = j
+        taken[j] = True
+    return idx
+
+
 def _matched(prev: np.ndarray, new: np.ndarray) -> bool:
     return bool(np.all(np.abs(new - prev) <= _MATCH_FACTOR * _gaps(new) + 1e-15))
 
@@ -62,7 +81,7 @@ def _advance(model, prev_roots, c_from, c_to, depth):
     """Continue the root set from coupling c_from to c_to, bisecting as needed."""
     spec = eigen_spectrum(model, c_to, warm_start=prev_roots)
     # restore iterate identity: greedy map from sorted output back to warm order
-    new = _reorder_like(prev_roots, spec.energies)
+    new = spec.energies[_assign(prev_roots, spec.energies)]
     if _matched(prev_roots, new):
         return new, True
     if depth <= 0:
@@ -72,22 +91,6 @@ def _advance(model, prev_roots, c_from, c_to, depth):
     if not ok:
         return roots_mid, False
     return _advance(model, roots_mid, mid, c_to, depth - 1)
-
-
-def _reorder_like(prev: np.ndarray, new_sorted: np.ndarray) -> np.ndarray:
-    """Assign each previous root its nearest new root, greedily by confidence."""
-    n = prev.size
-    cost = np.abs(prev[:, None] - new_sorted[None, :])
-    out = np.empty(n, dtype=complex)
-    taken = np.zeros(n, dtype=bool)
-    # most-confident first: smallest distance rows get first pick
-    order = np.argsort(cost.min(axis=1))
-    for i in order:
-        row = np.where(taken, np.inf, cost[i])
-        j = int(np.argmin(row))
-        out[i] = new_sorted[j]
-        taken[j] = True
-    return out
 
 
 def sweep(
@@ -171,6 +174,19 @@ def _find_peaks(x: np.ndarray, prominence: float) -> np.ndarray:
     return peaks[np.array(keep, dtype=bool)]
 
 
+def _vertex(x: np.ndarray, y: np.ndarray, i: int) -> float:
+    """Abscissa of the vertex of the parabola through samples i-1, i, i+1.
+
+    The offset from x[i] is clipped to half the bracket on either side; a
+    triple with zero curvature keeps x[i].
+    """
+    y0, y1, y2 = y[i - 1], y[i], y[i + 1]
+    denom = y0 - 2 * y1 + y2
+    off = 0.5 * (y0 - y2) / denom if denom != 0 else 0.0
+    off = float(np.clip(off, -1.0, 1.0))
+    return float(x[i] + off * (x[i + 1] - x[i - 1]) / 2.0)
+
+
 def turning_points(traj: Trajectory, *, prominence: float = 1e-4) -> list[TurningPoint]:
     """Interior maxima of each state's width along the sweep.
 
@@ -181,20 +197,9 @@ def turning_points(traj: Trajectory, *, prominence: float = 1e-4) -> list[Turnin
     """
     out: list[TurningPoint] = []
     g = traj.widths
-    lam = traj.lambdas
     for k in range(traj.n_states):
-        idx = _find_peaks(g[:, k], prominence)
-        for i in idx:
-            if 0 < i < lam.size - 1:
-                y0, y1, y2 = g[i - 1, k], g[i, k], g[i + 1, k]
-                x0, x1, x2 = lam[i - 1], lam[i], lam[i + 1]
-                denom = (y0 - 2 * y1 + y2)
-                off = 0.5 * (y0 - y2) / denom if denom != 0 else 0.0
-                off = float(np.clip(off, -1.0, 1.0))
-                step = (x2 - x0) / 2.0
-                out.append(TurningPoint(state=k, lam=float(x1 + off * step), width=float(y1)))
-            else:
-                out.append(TurningPoint(state=k, lam=float(lam[i]), width=float(g[i, k])))
+        for i in _find_peaks(g[:, k], prominence):
+            out.append(TurningPoint(state=k, lam=_vertex(traj.lambdas, g[:, k], i), width=float(g[i, k])))
     out.sort(key=lambda t: (t.lam, t.state))
     return out
 

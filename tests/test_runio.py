@@ -3,9 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from ep_atlas import ConfigError
+from ep_atlas import ConfigError, runio
 from ep_atlas.runio import (
     file_digest,
     format_value,
@@ -48,6 +49,23 @@ def test_format_value_rules():
     assert format_value(1.5 - 2.5j) == "1.5-2.5j"
     assert format_value(1.5 + 2.5j) == "1.5+2.5j"
     assert format_value("picket") == "picket"
+    # numpy scalars read as the Python scalars they hold
+    assert format_value(np.float64(0.1)) == "0.1"
+    assert format_value(np.complex128(1.5 - 2.5j)) == "1.5-2.5j"
+    assert format_value(np.bool_(True)) == "1"
+    assert format_value(np.int64(3)) == "3"
+
+
+def test_array_columns_write_like_lists(tmp_path, monkeypatch):
+    arrays = {"x": np.array([0.5, float("nan"), -0.0]), "k": np.arange(3), "z": np.array([1.5 - 2.5j, 0j, 1j])}
+    lists = {k: [v.item() for v in a] for k, a in arrays.items()}
+    for write, ext in ((write_csv, "csv"), (write_json, "json")):
+        a = write(tmp_path / ("a." + ext), {"m": 1}, arrays)
+        b = write(tmp_path / ("b." + ext), {"m": 1}, lists)
+        assert a.read_bytes() == b.read_bytes()
+    assert (tmp_path / "a.csv").read_text().splitlines()[2] == "0.5,0,1.5-2.5j"
+    monkeypatch.setattr(runio, "_ROWS", 2)  # rows split across batches
+    assert write_csv(tmp_path / "c.csv", {"m": 1}, arrays).read_bytes() == (tmp_path / "a.csv").read_bytes()
 
 
 def test_write_csv_layout_and_determinism(tmp_path):

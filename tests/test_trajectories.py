@@ -15,7 +15,7 @@ from ep_atlas import (
     turning_points,
     width_partition,
 )
-from ep_atlas.trajectories import _find_peaks
+from ep_atlas.trajectories import _assign, _find_peaks
 
 # real-axis coalescence coupling of the 4-level unit ladder (exact resultant root)
 FENCE4_REAL_EP = 0.412011997789875
@@ -116,3 +116,24 @@ def test_peak_finder_matches_scipy():
         for prom in (0.0, 1e-4, 0.5, 2.0):
             want, _ = signal.find_peaks(x, prominence=prom)
             np.testing.assert_array_equal(_find_peaks(x, prom), want)
+
+
+def test_assign_undoes_a_shuffle():
+    rng = np.random.default_rng(5)
+    prev = rng.normal(size=40) + 1j * rng.normal(size=40)
+    perm = rng.permutation(40)
+    new = prev[perm] + 1e-9 * (1 + 1j)
+    idx = _assign(prev, new)
+    np.testing.assert_array_equal(perm[idx], np.arange(40))
+
+
+def test_assign_serves_the_most_confident_row_first():
+    # row order would give prev 0 its nearest root 0.9; but 0.9 sits much
+    # closer to prev 1, which is served first and keeps it
+    prev = np.array([0.0, 1.0 + 0j])
+    new = np.array([0.9, 3.0 + 0j])
+    np.testing.assert_array_equal(_assign(prev, new), [1, 0])
+
+
+def test_assign_single_root():
+    np.testing.assert_array_equal(_assign(np.array([1.0 + 1j]), np.array([5j])), [0])
