@@ -4,9 +4,9 @@ Encircling a square-root exceptional point once swaps the two coalescing
 states and multiplies one of them by -1; the loop must be traversed four
 times to return every vector to itself.  Transport is implemented by
 continuation: the coupling walks the contour, each spectrum is solved warm
-from the previous point, states are re-identified by proximity in the
-energy plane, and the c-normalized vectors keep their sign by demanding a
-near-unit bilinear overlap psi_prev^T psi_next between consecutive samples
+from the previous point and read in warm-start order (Spectrum.warm_order),
+and the c-normalized vectors keep their sign by demanding a near-unit
+bilinear overlap psi_prev^T psi_next between consecutive samples
 (for the complex-symmetric H the transposed vectors are the left
 eigenvectors, so these overlaps are the natural expansion coefficients).
 If the worst step overlap falls below threshold the contour is resampled
@@ -30,7 +30,6 @@ from .errors import ContourError, ResolutionError, ThetaSingularError
 from .models import EffectiveModel, build_two_level, phase_factor
 from .secular import _two_level_quadratic, eigen_spectrum
 from .exceptional import expand_ep_set, find_eps
-from .trajectories import _assign
 
 
 @dataclass(frozen=True)
@@ -87,18 +86,15 @@ def _fix_gauge(m: np.ndarray, perm: tuple[int, ...], signs: tuple[int, ...]):
 
 def _transport(model, contour):
     spec0 = eigen_spectrum(model, contour[0], compute_vectors=True)
-    e = spec0.energies.copy()
-    v = spec0.vectors.copy()
+    e, v = spec0.energies, spec0.vectors  # read only: each step builds new arrays
     worst = 1.0
     for c in contour[1:]:
         spec = eigen_spectrum(model, c, warm_start=e, compute_vectors=True)
-        idx = _assign(e, spec.energies)
-        e = spec.energies[idx]
-        vnew = spec.vectors[:, idx]
+        e = spec.energies[spec.warm_order]
+        vnew = spec.vectors[:, spec.warm_order]
         ov = np.einsum("ki,ki->i", v, vnew)  # bilinear psi_prev^T psi_next per state
         flip = ov.real < 0
         vnew[:, flip] = -vnew[:, flip]
-        ov = np.where(flip, -ov, ov)
         worst = min(worst, float(np.abs(ov).min()))
         v = vnew
     return spec0, e, v, worst

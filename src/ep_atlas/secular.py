@@ -98,24 +98,25 @@ def secular_eval(model: EffectiveModel, energy, coupling) -> np.ndarray | comple
 _BLOCK = 1 << 16  # complex entries per row block (1 MiB): temporaries are O(N*B), never N x N
 
 
+def _nearest_gap(z: np.ndarray) -> np.ndarray:
+    """Distance from each point to its nearest other one (inf if alone), in O(N*B) memory."""
+    rows = max(1, _BLOCK // z.size)
+    near = np.empty(z.size)
+    for b0 in range(0, z.size, rows):
+        gap = np.abs(z[b0 : b0 + rows, None] - z[None, :])
+        np.fill_diagonal(gap[:, b0:], np.inf)  # a point's distance to itself
+        near[b0 : b0 + rows] = gap.min(axis=1)
+    return near
+
+
 def _separate(z: np.ndarray, jitter: complex) -> np.ndarray:
     """Push apart iterates closer than 1e-12*scale, in place, so the repulsion term is finite.
 
     Up to three rounds; the k-th offending iterate moves by k*1e-6*scale*jitter.
-    Nearest-neighbour gaps are taken over row blocks of the pairwise distance
-    matrix, so memory stays O(N*B).
     """
-    n = z.size
     scale = max(1.0, float(np.abs(z).max()))
-    rows = max(1, _BLOCK // n)
-    near = np.empty(n)
     for _ in range(3):
-        for b0 in range(0, n, rows):
-            gap = np.abs(z[b0 : b0 + rows, None] - z[None, :])
-            k = np.arange(gap.shape[0])
-            gap[k, b0 + k] = np.inf
-            near[b0 : b0 + rows] = gap.min(axis=1)
-        bad = np.flatnonzero(near < 1e-12 * scale)
+        bad = np.flatnonzero(_nearest_gap(z) < 1e-12 * scale)
         if bad.size == 0:
             break
         z[bad] += (np.arange(bad.size) + 1) * 1e-6 * scale * jitter
@@ -215,8 +216,31 @@ def _seeds(eps: np.ndarray, v2: np.ndarray, lam: complex) -> np.ndarray:
 _STALL_ACCEPT = 1e-8  # near a defective pair no method localizes roots below ~sqrt(eps)
 
 
+def _assign(prev: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Greedy proximity assignment prev[i] -> new[idx[i]], confident rows first.
+
+    Rows are served in order of their distance to the nearest new root, so a
+    root that clearly continues one branch is matched before a root halfway
+    between two branches can take its partner.
+    """
+    n = prev.size
+    cost = np.abs(prev[:, None] - new[None, :])
+    idx = np.empty(n, dtype=int)
+    taken = np.zeros(n, dtype=bool)
+    for i in np.argsort(cost.min(axis=1)):
+        row = np.where(taken, np.inf, cost[i])
+        j = int(np.argmin(row))
+        idx[i] = j
+        taken[j] = True
+    return idx
+
+
 def _solve_roots(eps, v2, lam, warm=None, maxiter=500, tol=5e-14):
-    """Aberth with warm start, LAPACK-seeded retry, and rich failure info.
+    """Aberth with warm start, cold and LAPACK-seeded retries, and rich failure info.
+
+    Roots come back in warm order: root k continues warm[k] (level k's seed on
+    a cold solve).  The first attempt keeps that order by iterate identity;
+    only a cold or dense retry's roots are mapped back onto it by _assign.
 
     Near an exceptional point the root pair is defective and every algorithm
     saturates at O(sqrt(machine eps)) absolute error; a run that stalls with
@@ -226,30 +250,22 @@ def _solve_roots(eps, v2, lam, warm=None, maxiter=500, tol=5e-14):
     logderiv = _spectrum_logderiv(v2, lam)
     z0 = _seeds(eps, v2, lam) if warm is None else warm
     z, its, ok, last = _aberth(eps, logderiv, z0, maxiter=maxiter, tol=tol)
-    best = (z, its, last)
+    best = (z, its, last, False)
     if not ok and warm is not None:
         # warm start led the iteration astray; retry from scratch
         z, its, ok, last = _aberth(eps, logderiv, _seeds(eps, v2, lam), maxiter=maxiter, tol=tol)
-        if last < best[2]:
-            best = (z, its, last)
+        if ok or last < best[2]:
+            best = (z, its, last, True)
     if not ok and eps.size <= 64:
         h = np.diag(eps).astype(complex) - 1j * lam * np.outer(np.sqrt(v2), np.sqrt(v2))
         z, its, ok, last = _aberth(eps, logderiv, np.linalg.eigvals(h), maxiter=maxiter, tol=tol)
-        if last < best[2]:
-            best = (z, its, last)
-    if ok:
-        return z, its, last
-    if best[2] <= _STALL_ACCEPT:
-        return best
-    raise SolverFailureError(
-        "eigenvalue iteration did not converge",
-        diagnostics={
-            "n": int(eps.size),
-            "lambda": complex(lam),
-            "iterations": best[1],
-            "max_relative_step": best[2],
-        },
-    )
+        if ok or last < best[2]:
+            best = (z, its, last, True)
+    z, its, last, retried = best
+    if not (ok or last <= _STALL_ACCEPT):
+        diagnostics = {"n": int(eps.size), "lambda": complex(lam), "iterations": its, "max_relative_step": last}
+        raise SolverFailureError("eigenvalue iteration did not converge", diagnostics=diagnostics)
+    return (z[_assign(z0, z)] if retried else z), its, last
 
 
 def _sorted_order(e: np.ndarray) -> np.ndarray:
@@ -318,11 +334,15 @@ class Spectrum:
     pass without any N x N matrix.  vectors, the c-normalized right
     eigenvectors as columns, is an N x N matrix built on first read and then
     cached (None when vectors were not requested).
+
+    warm_order carries state identity across a coupling step: energies[warm_order][k]
+    continues warm_start[k] of the solve (level k on a cold solve).
     """
 
     energies: np.ndarray
     iterations: int
     residual: float
+    warm_order: np.ndarray
     hermitian_norms: np.ndarray | None = None
     condition: np.ndarray | None = None
     _build_vectors: Callable[[], np.ndarray] | None = field(default=None, repr=False, compare=False)
@@ -355,7 +375,10 @@ def eigen_spectrum(
     lambda = 0 is exact (the unperturbed levels).  Levels with v_k = 0 are
     split off exactly: they stay at eps_k with unit basis vectors, and the
     iteration runs on the coupled subset only.  warm_start takes a length-N
-    array of previous eigenvalues to continue a parameter sweep.
+    array of previous eigenvalues, in any order, to continue a parameter
+    sweep: the iterate of coupled level k starts from warm_start[k], and a
+    split-off level sorted off index k trades entries with the iterate
+    seeded at its energy, which takes over the root whose seed it displaced.
 
     compute_vectors fills hermitian_norms and condition and makes vectors
     available; the eigenvector matrix is only built if vectors is read.
@@ -372,26 +395,31 @@ def eigen_spectrum(
     e_full = eps.astype(complex)
     its = 0
     last = 0.0
+    slot = np.arange(n)  # the state of level k is reported in warm_start entry slot[k]
+    if warm_start is not None:
+        warm_start = np.asarray(warm_start, dtype=complex)
+        if warm_start.shape != (n,):
+            raise ValueError("warm_start must have one entry per level")
+        for d in np.flatnonzero(~act):  # a bare level swaps entries with the iterate seeded at its energy
+            hit = np.flatnonzero(warm_start[slot] == eps[d])
+            if hit.size and warm_start[slot[d]] != eps[d]:
+                slot[[d, hit[0]]] = slot[[hit[0], d]]
     if act.any():
         eps_a = eps[act]
         v2_a = v[act] ** 2
         if eps_a.size == 1:
             roots = np.array([eps_a[0] - 1j * lam * v2_a[0]])
         else:
-            warm = None
-            if warm_start is not None:
-                warm_start = np.asarray(warm_start, dtype=complex)
-                if warm_start.shape != (n,):
-                    raise ValueError("warm_start must have one entry per level")
-                warm = warm_start[act]
+            warm = None if warm_start is None else warm_start[act]
             roots, its, last = _solve_roots(eps_a, v2_a, lam, warm=warm, maxiter=maxiter, tol=tol)
         e_full[act] = roots
 
     order = _sorted_order(e_full)
     e_sorted = e_full[order]
+    warm_order = np.argsort(slot[order])  # the inverse permutation
 
     if not compute_vectors:
-        return Spectrum(energies=e_sorted, iterations=its, residual=last)
+        return Spectrum(energies=e_sorted, iterations=its, residual=last, warm_order=warm_order)
 
     cols = np.flatnonzero(act[order])
     e_act = e_sorted[cols]
@@ -411,6 +439,7 @@ def eigen_spectrum(
         energies=e_sorted,
         iterations=its,
         residual=last,
+        warm_order=warm_order,
         hermitian_norms=norms,
         condition=cond,
         _build_vectors=partial(_c_normalized_vectors, order, act, cols, e_act, eps[act], v[act]),

@@ -2,13 +2,15 @@
 
 A sweep follows all N complex eigenvalues along a grid of couplings
 Lambda = lambda * exp(1j*phi), warm-starting each solve from the previous
-point so iterate identity provides the continuation.  A step is accepted
-only if every root moved by less than roughly half its distance to the
-nearest other root; otherwise the step is bisected.  An exceptional point
-crossed by the path makes the continuation genuinely undefined (the two
-branches reconnect at equal distances), which surfaces as
-TrajectoryAmbiguityError unless the caller opts into canonical sorted order
-at such points.
+point.  The continuation is iterate identity: the solver reports in
+Spectrum.warm_order which state continues which warm-start entry, so no
+matching happens here.  A step is accepted only if every root moved by less
+than roughly half its distance to the nearest other root (the balls are
+then disjoint and the continuation is unique); otherwise the step is
+bisected.  An exceptional point crossed by the path makes the continuation
+genuinely undefined (the two branches reconnect at equal distances), which
+surfaces as TrajectoryAmbiguityError unless the caller opts into canonical
+sorted order at such points.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .errors import TrajectoryAmbiguityError
 from .models import EffectiveModel, phase_factor
-from .secular import eigen_spectrum
+from .secular import _nearest_gap, eigen_spectrum
 
 _MATCH_FACTOR = 0.45
 
@@ -48,40 +50,14 @@ class Trajectory:
         return int(self.energies.shape[1])
 
 
-def _gaps(roots: np.ndarray) -> np.ndarray:
-    d = np.abs(roots[:, None] - roots[None, :])
-    np.fill_diagonal(d, np.inf)
-    return d.min(axis=1)
-
-
-def _assign(prev: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """Greedy proximity assignment prev[i] -> new[idx[i]], confident rows first.
-
-    Rows are served in order of their distance to the nearest new root, so a
-    root that clearly continues one branch is matched before a root halfway
-    between two branches can take its partner.
-    """
-    n = prev.size
-    cost = np.abs(prev[:, None] - new[None, :])
-    idx = np.empty(n, dtype=int)
-    taken = np.zeros(n, dtype=bool)
-    for i in np.argsort(cost.min(axis=1)):
-        row = np.where(taken, np.inf, cost[i])
-        j = int(np.argmin(row))
-        idx[i] = j
-        taken[j] = True
-    return idx
-
-
 def _matched(prev: np.ndarray, new: np.ndarray) -> bool:
-    return bool(np.all(np.abs(new - prev) <= _MATCH_FACTOR * _gaps(new) + 1e-15))
+    return bool(np.all(np.abs(new - prev) <= _MATCH_FACTOR * _nearest_gap(new) + 1e-15))
 
 
 def _advance(model, prev_roots, c_from, c_to, depth):
     """Continue the root set from coupling c_from to c_to, bisecting as needed."""
     spec = eigen_spectrum(model, c_to, warm_start=prev_roots)
-    # restore iterate identity: greedy map from sorted output back to warm order
-    new = spec.energies[_assign(prev_roots, spec.energies)]
+    new = spec.energies[spec.warm_order]
     if _matched(prev_roots, new):
         return new, True
     if depth <= 0:

@@ -1,6 +1,10 @@
 """Command-line interface: resolution, outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from click.testing import CliRunner
 
@@ -100,3 +104,25 @@ def test_command_echoes_written_paths(tmp_path):
     res = run("eps", "--n", "4", "--out", str(out))
     assert "eps.csv" in res.output
     assert "eps_manifest.json" in res.output
+
+
+def test_runtime_needs_only_numpy_and_click(tmp_path):
+    # scipy, sympy and mpmath are test extras; a None entry in sys.modules
+    # makes any import of them fail in the child interpreter
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = (
+        "import runpy, sys; sys.modules.update(scipy=None, sympy=None, mpmath=None); "
+        "runpy.run_module('ep_atlas', run_name='__main__')"
+    )
+    for args in (
+        ["eps", "--n", "9"],
+        ["sweep", "--n", "9", "--lambda-stop", "0.5", "--lambda-step", "0.01"],
+        ["bcurve", "--n", "21", "--lambda-step", "0.05", "--jobs", "1"],
+    ):
+        r = subprocess.run(
+            [sys.executable, "-c", child, *args, "--out", str(tmp_path / args[0])],
+            capture_output=True, text=True, env=env,
+        )
+        assert r.returncode == 0, r.stderr
+        assert (tmp_path / args[0] / ("%s_manifest.json" % args[0])).is_file()

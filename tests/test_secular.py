@@ -23,6 +23,8 @@ from ep_atlas import (
     two_level_eps,
 )
 from ep_atlas import secular
+from ep_atlas.secular import _assign
+from ep_atlas.trajectories import _matched
 from helpers import assert_complex_sets_close
 
 # Frozen reference spectrum for eps=(-0.5, 1.0), omega=25 deg, Lambda=0.8*exp(40j deg),
@@ -255,3 +257,51 @@ def test_row_blocks_do_not_change_results(monkeypatch):
     np.testing.assert_array_equal(split.energies, whole.energies)
     assert split.iterations == whole.iterations
     assert [p.coupling for p in find_eps(m)] == eps_whole
+
+
+@pytest.mark.parametrize(
+    "build, lams",
+    [
+        (lambda: build_picket_fence(15), np.arange(0.001, 2.0, 0.001)),  # the fig1 grid
+        (lambda: build_power_law(43, 1.0, 4.0), np.arange(0.01, 2.0, 0.005)),
+        (lambda: build_power_law(43, 1.0, 4.0), np.arange(5.0, 6.0, 0.01)),  # the bare level sorts off its index
+        (lambda: build_perturbed_fence(41, 0.2, 7), np.arange(0.01, 1.5, 0.005)),
+    ],
+)
+def test_warm_order_is_the_greedy_order_on_accepted_steps(build, lams):
+    m = build()
+    bare = np.flatnonzero(m.couplings == 0)
+    prev = eigen_spectrum(m, lams[0]).energies
+    slot = [int(np.flatnonzero(prev == m.epsilons[d])[0]) for d in bare]
+    accepted = 0
+    for lam in lams[1:]:
+        spec = eigen_spectrum(m, lam, warm_start=prev)
+        new = spec.energies[spec.warm_order]
+        np.testing.assert_array_equal(new[slot], m.epsilons[bare])  # bare levels keep their index
+        if _matched(prev, new):  # the step test sweep applies before bisecting
+            np.testing.assert_array_equal(new, spec.energies[_assign(prev, spec.energies)])
+            accepted += 1
+        prev = new
+    assert accepted >= 0.95 * (lams.size - 1)
+
+
+def test_retry_roots_come_back_in_warm_order(monkeypatch):
+    # a failed warm attempt hands over to a cold retry, whose iterates start
+    # in level order; _assign must map them back onto the shuffled warm start
+    m = build_picket_fence(15)
+    prev = eigen_spectrum(m, 0.30).energies[np.random.default_rng(2).permutation(15)]
+    ref = eigen_spectrum(m, 0.31, warm_start=prev)
+    aberth = secular._aberth
+    calls = []
+
+    def warm_fails(eps, logderiv, z0, **kw):
+        z, its, ok, last = aberth(eps, logderiv, z0, **kw)
+        calls.append(ok)
+        return (z, its, ok, last) if len(calls) > 1 else (z, its, False, 1.0)
+
+    monkeypatch.setattr(secular, "_aberth", warm_fails)
+    spec = eigen_spectrum(m, 0.31, warm_start=prev)
+    assert calls == [True, True]  # the warm attempt was discarded, the cold retry supplied the roots
+    new = spec.energies[spec.warm_order]
+    assert _matched(prev, new)
+    np.testing.assert_allclose(new, ref.energies[ref.warm_order], atol=1e-12)

@@ -1,5 +1,7 @@
 """Eigenvalue trajectories: continuity, turning points, order parameter."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,8 @@ from ep_atlas import (
     turning_points,
     width_partition,
 )
-from ep_atlas.trajectories import _assign, _find_peaks
+from ep_atlas.secular import _assign
+from ep_atlas.trajectories import _find_peaks
 
 # real-axis coalescence coupling of the 4-level unit ladder (exact resultant root)
 FENCE4_REAL_EP = 0.412011997789875
@@ -103,6 +106,21 @@ def test_sweep_perturbed_fence_strict_policy():
     m = build_perturbed_fence(9, 0.2, seed=3)
     traj = sweep(m, np.arange(0.05, 1.0, 0.05), policy="raise")
     assert traj.ambiguous_intervals == ()
+
+
+def test_sweep_memory_is_bounded():
+    # the step test takes nearest-root gaps over row blocks: no N x N matrix
+    # (one real 3001 x 3001 array alone would take 72 MB)
+    m = build_perturbed_fence(3001, 0.1, 1)
+    tracemalloc.start()
+    try:
+        traj = sweep(m, [0.05, 0.06])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traj.energies.shape == (2, 3001)
+    assert traj.ambiguous_intervals == ()
+    assert peak < 32 * 2**20
 
 
 def test_peak_finder_matches_scipy():
