@@ -5,12 +5,12 @@ exceptional-point accumulation, B curves, the perturbed-fence comparison)
 plus direct access to sweeps, exceptional-point tables, order-parameter
 curves, monodromy loops, and compensation classification.
 
-Every run resolves its configuration (config file first, command-line flags
-override), writes CSV files with a '#' metadata block, and finishes with a
-manifest carrying the resolved config, tool version, wall time, and content
-digests.  Reruns with the same resolved config produce byte-identical data
-files; grid work is fanned out to processes in fixed 64-point chunks so the
-results do not depend on --jobs.
+Every run resolves its configuration (config file first, flags override,
+each value read through _get).  Runners only build tables and pass each to
+emit(stem, meta, columns); _execute writes them as CSV with a '#' metadata
+block (or JSON) and a manifest with the resolved config, tool version, wall
+time and content digests.  Reruns of one resolved config give byte-identical
+data files: grid work is split into fixed 64-point chunks whatever --jobs is.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .asymptotics import LADDER_CRITICAL, classify_compensation, critical_coupling
 from .collectivity import BPeak, b_curve, find_peak
-from .errors import ConfigError, EpAtlasError, InvalidModelError
+from .errors import ConfigError, EpAtlasError, InvalidCouplingError, InvalidModelError
 from .exceptional import accumulation_scan, find_eps, two_level_eps
 from .models import (
     EffectiveModel,
@@ -63,19 +63,27 @@ _FLAG_KEYS = (
 
 
 def _fmt(v) -> str:
+    if isinstance(v, list):
+        return ",".join(map(_fmt, v))
     if isinstance(v, float):
         return repr(v)
     return str(v)
 
 
 def _get(cfg: dict, key: str, default, cast):
-    """Read a config value, recording the default used into the echo."""
-    if key not in cfg or cfg[key] == "":
+    """The value of key through cast or, when it is missing, the default as given, echoed into cfg."""
+    if cfg.get(key, "") == "":
         cfg[key] = _fmt(default)
+        return default
     try:
         return cast(cfg[key])
     except (TypeError, ValueError):
         raise ConfigError("bad value for %s: %r" % (key, cfg[key]))
+
+
+def _list_of(cast):
+    """Cast for a comma-separated list; blank entries are skipped."""
+    return lambda text: [cast(x) for x in text.split(",") if x.strip()]
 
 
 def _resolve(command: str, kw: dict) -> dict:
@@ -93,10 +101,7 @@ def _resolve(command: str, kw: dict) -> dict:
 
 def _grid_from(cfg: dict, start: float, stop: float, step: float) -> np.ndarray:
     if cfg.get("lambda_list"):
-        try:
-            vals = np.array([float(x) for x in cfg["lambda_list"].split(",") if x.strip() != ""])
-        except ValueError:
-            raise ConfigError("lambda_list must be comma-separated numbers")
+        vals = np.array(_get(cfg, "lambda_list", "", _list_of(float)))
         if vals.size == 0:
             raise ConfigError("empty coupling grid")
         return vals
@@ -116,7 +121,7 @@ def _model_from(cfg: dict, default_n: int) -> EffectiveModel:
     if not kind:
         if "r" in cfg or "t" in cfg:
             kind = "powerlaw"
-        elif float(cfg.get("amplitude", 0) or 0) > 0:
+        elif cfg.get("amplitude") and _get(cfg, "amplitude", 0.0, float) > 0:
             kind = "perturbed"
         else:
             kind = "picket"
@@ -148,15 +153,6 @@ def _model_from(cfg: dict, default_n: int) -> EffectiveModel:
             _get(cfg, "seed", 1, int),
         )
     raise ConfigError("unknown model %r" % kind)
-
-
-def _writer(cfg: dict):
-    fmt = _get(cfg, "format", "csv", str)
-    if fmt == "csv":
-        return write_csv, ".csv"
-    if fmt == "json":
-        return write_json, ".json"
-    raise ConfigError("format must be csv or json, got %r" % fmt)
 
 
 def _jobs(cfg: dict) -> int:
@@ -207,13 +203,11 @@ def _ep_cols(lam, energy) -> dict:
     return {"re_lambda": lam.real, "im_lambda": lam.imag, "re_energy": energy.real, "im_energy": energy.imag}
 
 
-def _run_fig1(cfg, out):
-    emit, ext = _writer(cfg)
+def _run_fig1(cfg, emit):
     grid = _grid_from(cfg, 0.001, 2.0, 0.001)
     phi = _get(cfg, "phi", 0.0, float)
     ns = [_get(cfg, "n", 0, int)] if cfg.get("n") else [15, 43]
     cfg.setdefault("n", ",".join(str(n) for n in ns))
-    files = []
     cross = []
     for n in ns:
         model = build_picket_fence(n)
@@ -224,25 +218,18 @@ def _run_fig1(cfg, out):
             "ambiguous_intervals": ";".join("%r:%r" % iv for iv in traj.ambiguous_intervals) or "none",
         }
         cols = _trajectory_cols(grid, traj.energies, keep)
-        files.append(emit(out / ("fig1_trajectories_n%d%s" % (n, ext)), meta, cols))
+        emit("fig1_trajectories_n%d" % n, meta, cols)
         cross += [(n, p) for p in find_eps(model) if p.energy.real >= -1e-9]
     cross_cols = {
         "n": [n for n, _ in cross],
         "pair_id": [p.pair_id for _, p in cross],
         **_ep_cols([p.coupling for _, p in cross], [p.energy for _, p in cross]),
     }
-    files.append(emit(out / ("fig1_crossings" + ext), {"half": "re_energy >= 0", "phi_deg": phi}, cross_cols))
-    return files
+    emit("fig1_crossings", {"half": "re_energy >= 0", "phi_deg": phi}, cross_cols)
 
 
-def _run_fig2(cfg, out):
-    emit, ext = _writer(cfg)
-    ladder_txt = cfg.get("ladder") or "15,19,27,43"
-    cfg["ladder"] = ladder_txt
-    try:
-        ladder = [int(x) for x in ladder_txt.split(",") if x.strip()]
-    except ValueError:
-        raise ConfigError("ladder must be comma-separated integers")
+def _run_fig2(cfg, emit):
+    ladder = _get(cfg, "ladder", [15, 19, 27, 43], _list_of(int))
     if len(ladder) < 2:
         raise ConfigError("ladder needs at least two sizes to show a trend")
     if any(n < 3 for n in ladder):
@@ -257,7 +244,7 @@ def _run_fig2(cfg, out):
         "im_closest": [r.closest.imag for r in scan.rows],
     }
     meta = {"target": repr(scan.target), "lambda_c_estimate": repr(scan.lambda_c_estimate)}
-    files = [emit(out / ("fig2_accumulation" + ext), meta, summary)]
+    emit("fig2_accumulation", meta, summary)
     lam = np.concatenate([r.couplings for r in scan.rows])
     pts = {
         "n": np.repeat([r.n for r in scan.rows], [r.couplings.size for r in scan.rows]),
@@ -266,8 +253,7 @@ def _run_fig2(cfg, out):
         "near_axis": np.concatenate([r.near_axis for r in scan.rows]).astype(int),
         "distance": [abs(z - scan.target) for z in lam],  # scalar abs: np.abs on arrays rounds differently
     }
-    files.append(emit(out / ("fig2_points" + ext), meta, pts))
-    return files
+    emit("fig2_points", meta, pts)
 
 
 _FIG3_BUNDLE = (
@@ -288,8 +274,7 @@ def _fig3_model(name: str, n: int, amplitude: float, seed: int) -> EffectiveMode
     raise ConfigError("unknown fig3 system %r" % name)
 
 
-def _run_fig3(cfg, out):
-    emit, ext = _writer(cfg)
+def _run_fig3(cfg, emit):
     grid = _grid_from(cfg, 0.05, 1.0, 0.005)
     phi = _get(cfg, "phi", 0.0, float)
     amplitude = _get(cfg, "amplitude", 0.1, float)
@@ -320,10 +305,8 @@ def _run_fig3(cfg, out):
         "amplitude": amplitude,
         "seed": seed,
     }
-    return [
-        emit(out / ("fig3_b" + ext), meta, cols),
-        emit(out / ("fig3_peaks" + ext), meta, peaks),
-    ]
+    emit("fig3_b", meta, cols)
+    emit("fig3_peaks", meta, peaks)
 
 
 def _ep_rows(systems) -> dict:
@@ -342,18 +325,16 @@ def _ep_rows(systems) -> dict:
     }
 
 
-def _run_fig4(cfg, out):
-    emit, ext = _writer(cfg)
+def _run_fig4(cfg, emit):
     n = _get(cfg, "n", 19, int)
     amplitude = _get(cfg, "amplitude", 0.1, float)
     seed = _get(cfg, "seed", 1, int)
     cols = _ep_rows([("ideal", build_picket_fence(n)), ("perturbed", build_perturbed_fence(n, amplitude, seed))])
     meta = {"n": n, "amplitude": amplitude, "seed": seed, "lambda_c_ladder": repr(LADDER_CRITICAL)}
-    return [emit(out / ("fig4_eps" + ext), meta, cols)]
+    emit("fig4_eps", meta, cols)
 
 
-def _run_sweep(cfg, out):
-    emit, ext = _writer(cfg)
+def _run_sweep(cfg, emit):
     model = _model_from(cfg, 15)
     grid = _grid_from(cfg, 0.001, 2.0, 0.001)
     phi = _get(cfg, "phi", 0.0, float)
@@ -364,7 +345,7 @@ def _run_sweep(cfg, out):
         "ambiguous_intervals": ";".join("%r:%r" % iv for iv in traj.ambiguous_intervals) or "none",
     }
     cols = _trajectory_cols(grid, traj.energies, np.ones(traj.energies.shape, dtype=bool))
-    files = [emit(out / ("sweep_trajectories" + ext), meta, cols)]
+    emit("sweep_trajectories", meta, cols)
     tps = turning_points(traj)
     eps = find_eps(model)
     pts = {
@@ -376,20 +357,17 @@ def _run_sweep(cfg, out):
         ),
         "width": [tp.width for tp in tps] + [-2.0 * p.energy.imag for p in eps],
     }
-    files.append(emit(out / ("sweep_points" + ext), meta, pts))
-    return files
+    emit("sweep_points", meta, pts)
 
 
-def _run_eps(cfg, out):
-    emit, ext = _writer(cfg)
+def _run_eps(cfg, emit):
     model = _model_from(cfg, 15)
     cols = _ep_rows([(cfg.get("model", "picket"), model)])
     meta = {"model": cfg.get("model", "picket"), "n": model.n}
-    return [emit(out / ("eps" + ext), meta, cols)]
+    emit("eps", meta, cols)
 
 
-def _run_bcurve(cfg, out):
-    emit, ext = _writer(cfg)
+def _run_bcurve(cfg, emit):
     model = _model_from(cfg, 101)
     grid = _grid_from(cfg, 0.05, 1.0, 0.005)
     phi = _get(cfg, "phi", 0.0, float)
@@ -403,11 +381,10 @@ def _run_bcurve(cfg, out):
         "peak_value": repr(pk.value),
         "descent_ratio": repr(pk.descent_ratio),
     }
-    return [emit(out / ("bcurve" + ext), meta, {"lam": grid, "b": b})]
+    emit("bcurve", meta, {"lam": grid, "b": b})
 
 
-def _run_order(cfg, out):
-    emit, ext = _writer(cfg)
+def _run_order(cfg, emit):
     model = _model_from(cfg, 1001)
     grid = _grid_from(cfg, 0.05, 1.0, 0.005)
     phi = _get(cfg, "phi", 0.0, float)
@@ -419,21 +396,20 @@ def _run_order(cfg, out):
         "gamma0_over_n": curve.gamma0_over_n,
         "slope_over_n": curve.derivative_over_n,
     }
-    return [emit(out / ("order" + ext), meta, cols)]
+    emit("order", meta, cols)
 
 
-def _run_loop(cfg, out):
-    emit, ext = _writer(cfg)
+def _run_loop(cfg, emit):
     eps1 = _get(cfg, "eps1", 0.0, float)
     eps2 = _get(cfg, "eps2", 1.0, float)
     omega = _get(cfg, "omega", 30.0, float)
     windings = _get(cfg, "windings", 1, int)
     samples = _get(cfg, "samples", 512, int)
+    if samples < 1:
+        raise ConfigError("samples must be >= 1")
     model = build_two_level(eps1, eps2, omega)
     ep = two_level_eps(eps1, eps2, omega)
-    radius = cfg.get("radius")
-    radius = float(radius) if radius else 0.4 * abs(ep.coupling - ep.partner) / 2.0
-    cfg["radius"] = repr(radius)
+    radius = _get(cfg, "radius", 0.4 * abs(ep.coupling - ep.partner) / 2.0, float)
     res = loop_ep(model, ep.coupling, radius, windings=windings, samples=samples)
     t, contour = _contour(ep.coupling, radius, windings, res.samples // abs(windings))
     theta = theta_along(eps1, eps2, omega, contour)
@@ -453,7 +429,7 @@ def _run_loop(cfg, out):
         "min_overlap": repr(res.min_overlap),
         "matrix_error": repr(res.matrix_error),
     }
-    files = [emit(out / ("loop_contour" + ext), meta, cols)]
+    emit("loop_contour", meta, cols)
     delta = _get(cfg, "delta", 1.0, float)
     factor = _get(cfg, "lam_factor", 100.0, float)
     rows, theta_ends = [], []
@@ -473,18 +449,16 @@ def _run_loop(cfg, out):
         "delta_deg": delta, "lam_factor": factor,
         "phase_difference_deg": repr(abs(math.degrees((theta_ends[1] - theta_ends[0]).real))),
     }
-    files.append(emit(out / ("omega_check" + ext), meta2, dict(zip(names, zip(*rows)))))
-    return files
+    emit("omega_check", meta2, dict(zip(names, zip(*rows))))
 
 
-def _run_classify(cfg, out):
-    emit, ext = _writer(cfg)
+def _run_classify(cfg, emit):
     n = _get(cfg, "n", 101, int)
     phi = _get(cfg, "phi", 0.0, float)
     jobs = _jobs(cfg)
     grid = _grid_from(cfg, 0.05, 1.0, 0.005)
-    if cfg.get("r") is not None and cfg.get("t") is not None and cfg.get("r") != "" and cfg.get("t") != "":
-        pairs = [(float(cfg["r"]), float(cfg["t"]))]
+    if cfg.get("r") and cfg.get("t"):
+        pairs = [(_get(cfg, "r", 0.0, float), _get(cfg, "t", 2.0, float))]
     else:
         pairs = [(0.0, 2.0), (1.0, 4.0), (0.0, 4.0)]
     rows = []
@@ -496,7 +470,7 @@ def _run_classify(cfg, out):
         rows.append((r, t, cls, predicted, pk.lam, pk.value, has))
     names = ("r", "t", "class", "predicted_lambda_c", "peak_lam", "peak_value", "has_peak")
     meta = {"n": n, "phi_deg": phi}
-    return [emit(out / ("classify" + ext), meta, dict(zip(names, zip(*rows))))]
+    emit("classify", meta, dict(zip(names, zip(*rows))))
 
 
 # ---------------------------------------------------------------------------
@@ -529,12 +503,21 @@ def _execute(command: str, runner, kw: dict) -> None:
         cfg = _resolve(command, kw)
         out = resolve_out(kw.get("out"), cfg.get("out"))
         cfg["out"] = str(out)
+        fmt = _get(cfg, "format", "csv", str)
+        write = {"csv": write_csv, "json": write_json}.get(fmt)
+        if write is None:
+            raise ConfigError("format must be csv or json, got %r" % fmt)
         out.mkdir(parents=True, exist_ok=True)
-        files = runner(cfg, out)
+        files = []
+
+        def emit(stem: str, meta: dict, columns: dict) -> None:
+            files.append(write(out / (stem + "." + fmt), meta, columns))
+
+        runner(cfg, emit)
         manifest = write_manifest(out, command, cfg, files, __version__, time.perf_counter() - t0)
-        for f in list(files) + [manifest]:
+        for f in files + [manifest]:
             click.echo(str(f))
-    except (ConfigError, InvalidModelError) as err:
+    except (ConfigError, InvalidModelError, InvalidCouplingError) as err:
         click.echo("error: %s" % err, err=True)
         sys.exit(2)
     except EpAtlasError as err:

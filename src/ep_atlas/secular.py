@@ -59,10 +59,12 @@ _NORM_FLOOR = 1e-7  # |psi^T psi|/<psi|psi> below this means the state pair is e
 
 def _as_lambda(coupling) -> complex:
     # CouplingParameter enforces the physical quadrant; raw complex values are
-    # accepted unrestricted (loops in the Lambda plane need all four quadrants).
-    if isinstance(coupling, CouplingParameter):
-        return coupling.value
-    return complex(coupling)
+    # accepted in all four quadrants (loops in the Lambda plane need them), but
+    # never NaN or inf, which no root iteration can converge on.
+    lam = coupling.value if isinstance(coupling, CouplingParameter) else complex(coupling)
+    if not cmath.isfinite(lam):
+        raise InvalidCouplingError("coupling must be finite, got %r" % (lam,))
+    return lam
 
 
 def secular_eval(model: EffectiveModel, energy, coupling) -> np.ndarray | complex:
@@ -70,7 +72,7 @@ def secular_eval(model: EffectiveModel, energy, coupling) -> np.ndarray | comple
 
     Raises PoleProximityError if any E sits within 1e-14 of a level (relative
     to the model's energy scale), and InvalidCouplingError for lambda = 0
-    where i/Lambda is undefined.
+    where i/Lambda is undefined, or for a NaN or infinite lambda.
     """
     lam = _as_lambda(coupling)
     if lam == 0:
@@ -376,14 +378,16 @@ def eigen_spectrum(
     split off exactly: they stay at eps_k with unit basis vectors, and the
     iteration runs on the coupled subset only.  warm_start takes a length-N
     array of previous eigenvalues, in any order, to continue a parameter
-    sweep: the iterate of coupled level k starts from warm_start[k], and a
-    split-off level sorted off index k trades entries with the iterate
-    seeded at its energy, which takes over the root whose seed it displaced.
+    sweep: the iterate of coupled level k starts from warm_start[k].  A
+    split-off level d whose energy sits at another entry warm_start[j]
+    trades entries with level j, so level j is seeded from warm_start[d],
+    the root its own entry displaced.
 
     compute_vectors fills hermitian_norms and condition and makes vectors
     available; the eigenvector matrix is only built if vectors is read.
 
-    Raises SolverFailureError if the iteration stalls, and (only when
+    Raises InvalidCouplingError for a NaN or infinite coupling,
+    SolverFailureError if the iteration stalls, and (only when
     compute_vectors is set) IllConditionedNormalizationError when some state
     is too close to an exceptional point for c-normalization.
     """
@@ -410,7 +414,7 @@ def eigen_spectrum(
         if eps_a.size == 1:
             roots = np.array([eps_a[0] - 1j * lam * v2_a[0]])
         else:
-            warm = None if warm_start is None else warm_start[act]
+            warm = None if warm_start is None else warm_start[slot[act]]
             roots, its, last = _solve_roots(eps_a, v2_a, lam, warm=warm, maxiter=maxiter, tol=tol)
         e_full[act] = roots
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from ep_atlas.cli import main
@@ -126,3 +127,55 @@ def test_runtime_needs_only_numpy_and_click(tmp_path):
         )
         assert r.returncode == 0, r.stderr
         assert (tmp_path / args[0] / ("%s_manifest.json" % args[0])).is_file()
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("classify", "r = abc\nt = 4"),
+        ("loop", "radius = abc"),
+        ("eps", "amplitude = abc"),
+        ("loop", "samples = 0"),
+        ("bcurve", "lambda_list = nan"),
+    ],
+)
+def test_bad_config_value_exits_2(tmp_path, command, text):
+    conf = tmp_path / "c.conf"
+    conf.write_text("experiment = %s\n%s\n" % (command, text))
+    res = run(command, "--config", str(conf), "--n", "5", "--jobs", "1", "--out", str(tmp_path))
+    assert res.exit_code == 2
+    assert "error:" in res.output
+
+
+_SMALL = ("--n", "7", "--lambda-start", "0.1", "--lambda-stop", "0.5", "--lambda-step", "0.1", "--jobs", "1")
+
+_STEMS = [
+    ("fig1", "", ("fig1_trajectories_n7", "fig1_crossings")),
+    ("fig2", "ladder = 5,7", ("fig2_accumulation", "fig2_points")),
+    ("fig3", "system = picket", ("fig3_b", "fig3_peaks")),
+    ("fig4", "", ("fig4_eps",)),
+    ("sweep", "", ("sweep_trajectories", "sweep_points")),
+    ("eps", "", ("eps",)),
+    ("bcurve", "", ("bcurve",)),
+    ("order", "", ("order",)),
+    ("loop", "samples = 64", ("loop_contour", "omega_check")),
+    ("classify", "", ("classify",)),
+]
+
+
+@pytest.mark.parametrize("command, text, stems", _STEMS)
+def test_every_runner_writes_csv_and_json_alike(tmp_path, command, text, stems):
+    conf = tmp_path / "c.conf"
+    conf.write_text("experiment = %s\n%s\n" % (command, text))
+    tables = {}
+    for fmt in ("csv", "json"):
+        out = tmp_path / fmt
+        assert run(command, "--config", str(conf), *_SMALL, "--format", fmt, "--out", str(out)).exit_code == 0
+        doc = json.loads((out / ("%s_manifest.json" % command)).read_text())
+        assert sorted(doc["files"]) == sorted(stem + "." + fmt for stem in stems)
+        tables[fmt] = {stem: out / (stem + "." + fmt) for stem in stems}
+    for stem in stems:
+        lines = [l for l in tables["csv"][stem].read_text().splitlines() if not l.startswith("#")]
+        columns = json.loads(tables["json"][stem].read_text())["columns"]
+        assert sorted(columns) == sorted(lines[0].split(","))
+        assert all(len(c) == len(lines) - 1 for c in columns.values())

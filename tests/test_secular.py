@@ -305,3 +305,38 @@ def test_retry_roots_come_back_in_warm_order(monkeypatch):
     new = spec.energies[spec.warm_order]
     assert _matched(prev, new)
     np.testing.assert_allclose(new, ref.energies[ref.warm_order], atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [5, 101])
+@pytest.mark.parametrize(
+    "coupling",
+    [complex(np.nan, 0.0), complex(0.5, np.nan), complex(np.inf, 0.0), complex(0.5, -np.inf), CouplingParameter(np.nan)],
+)
+def test_non_finite_coupling_is_rejected(n, coupling):
+    m = build_picket_fence(n)
+    with pytest.raises(InvalidCouplingError):
+        eigen_spectrum(m, coupling)
+    with pytest.raises(InvalidCouplingError):
+        secular_eval(m, 0.3 - 0.1j, coupling)
+
+
+def test_warm_seeds_skip_the_bare_level_entry(monkeypatch):
+    # fig3's compensated chain: from lambda = 0.65 the bare level sorts off its
+    # index, and every coupled iterate must still start from its own warm entry
+    m = build_power_law(101, 1.0, 4.0)
+    bare = m.epsilons[m.couplings == 0]
+    aberth = secular._aberth
+    seeds = []
+
+    def spy(eps, logderiv, z0, **kw):
+        seeds.append(np.array(z0))
+        return aberth(eps, logderiv, z0, **kw)
+
+    monkeypatch.setattr(secular, "_aberth", spy)
+    prev = eigen_spectrum(m, 0.6).energies
+    for lam in np.arange(0.605, 0.75, 0.005):
+        seeds.clear()
+        spec = eigen_spectrum(m, lam, warm_start=prev)
+        rest = np.delete(prev, np.flatnonzero(prev == bare[0])[0])
+        np.testing.assert_array_equal(np.sort(seeds[0]), np.sort(rest))
+        prev = spec.energies
