@@ -407,9 +407,11 @@ def _run_loop(cfg, emit):
     samples = _get(cfg, "samples", 512, int)
     if samples < 1:
         raise ConfigError("samples must be >= 1")
+    if windings == 0:
+        raise ConfigError("windings must be nonzero")
     model = build_two_level(eps1, eps2, omega)
     ep = two_level_eps(eps1, eps2, omega)
-    radius = _get(cfg, "radius", 0.4 * abs(ep.coupling - ep.partner) / 2.0, float)
+    radius = _get(cfg, "radius", 0.4 * float(abs(ep.coupling - ep.partner)) / 2.0, float)
     res = loop_ep(model, ep.coupling, radius, windings=windings, samples=samples)
     t, contour = _contour(ep.coupling, radius, windings, res.samples // abs(windings))
     theta = theta_along(eps1, eps2, omega, contour)
@@ -457,7 +459,10 @@ def _run_classify(cfg, emit):
     phi = _get(cfg, "phi", 0.0, float)
     jobs = _jobs(cfg)
     grid = _grid_from(cfg, 0.05, 1.0, 0.005)
-    if cfg.get("r") and cfg.get("t"):
+    missing = [key for key in ("r", "t") if not cfg.get(key)]
+    if len(missing) == 1:
+        raise ConfigError("classify needs both r and t, or neither; %s is missing" % missing[0])
+    if not missing:
         pairs = [(_get(cfg, "r", 0.0, float), _get(cfg, "t", 2.0, float))]
     else:
         pairs = [(0.0, 2.0), (1.0, 4.0), (0.0, 4.0)]

@@ -77,7 +77,7 @@ def _r_logderiv(v2: np.ndarray):
     """R'/R = S''/S' + 2*sum r, with S' = -sum r^2*v^2 and S'' = 2*sum r^3*v^2."""
     v2 = v2.astype(complex)
 
-    def logderiv(r):
+    def logderiv(r, m):
         r2v = r * r
         r2v *= v2
         sp = r2v.sum(axis=1)

@@ -20,7 +20,10 @@ search: it takes the poles eps and a callback that maps a row block
 r = 1/(z - eps) to the log-derivative, so the same loop serves p'/p here
 and R'/R in exceptional.py.  It evaluates only iterates that have not yet
 converged, in row blocks of at most _BLOCK complex entries, so temporaries
-are O(N*B) rather than N x N.
+are O(N*B) rather than N x N.  One call can also carry a batch of
+independent root sets over the same poles (for a sweep, one per coupling):
+their rows share blocks, which spreads the per-call cost, while each set
+iterates, converges and stops exactly as it would alone.
 
 Eigenvectors inherit the rank-one form, psi_j = v_j r_j with
 r = 1/(E - eps).  The bilinear self-overlap of that raw vector is
@@ -101,14 +104,26 @@ _BLOCK = 1 << 16  # complex entries per row block (1 MiB): temporaries are O(N*B
 
 
 def _nearest_gap(z: np.ndarray) -> np.ndarray:
-    """Distance from each point to its nearest other one (inf if alone), in O(N*B) memory."""
-    rows = max(1, _BLOCK // z.size)
-    near = np.empty(z.size)
-    for b0 in range(0, z.size, rows):
-        gap = np.abs(z[b0 : b0 + rows, None] - z[None, :])
-        np.fill_diagonal(gap[:, b0:], np.inf)  # a point's distance to itself
-        near[b0 : b0 + rows] = gap.min(axis=1)
-    return near
+    """Distance from each point to its nearest other one in its row (inf if alone).
+
+    z is one row of points or a (B, N) stack of rows; memory stays O(N*_BLOCK).
+    """
+    zm = np.atleast_2d(z)
+    n = zm.shape[1]
+    flat = zm.reshape(-1)
+    rows = max(1, _BLOCK // n)
+    near = np.empty(flat.size)
+    for b0 in range(0, flat.size, rows):
+        ib = np.arange(b0, min(b0 + rows, flat.size))
+        if zm.shape[0] == 1:
+            gap = flat[ib, None] - zm
+        else:
+            gap = zm[ib // n]
+            np.subtract(flat[ib, None], gap, out=gap)
+        gap = np.abs(gap)
+        gap[np.arange(ib.size), ib % n] = np.inf  # a point's distance to itself
+        near[ib] = gap.min(axis=1)
+    return near.reshape(np.shape(z))
 
 
 def _separate(z: np.ndarray, jitter: complex) -> np.ndarray:
@@ -128,42 +143,62 @@ def _separate(z: np.ndarray, jitter: complex) -> np.ndarray:
 def _aberth(eps, logderiv, z0, maxiter=500, tol=5e-14):
     """Simultaneous root iteration; returns (roots, iterations, converged, last_step).
 
-    The roots are those of p(E) = prod_k (E - eps_k) * q(E) for a rational q;
-    logderiv(r) maps a row block r = 1/(z - eps) (one row per iterate) to
-    p'/p at those iterates.  Only iterates that have not converged are
-    evaluated, in row blocks of at most _BLOCK entries; the repulsion term
-    still sums over all iterates, frozen ones included.  Reductions are
-    elementwise products and row sums, not BLAS, so concurrent worker
-    processes do not contend for BLAS threads.
+    The roots are those of p(E) = prod_k (E - eps_k) * q(E) for a rational q.
+    z0 is one seed set of shape (n,), or B independent sets of shape (B, n)
+    (the members) that share the poles eps.  logderiv(r, m) maps a row block
+    r = 1/(z - eps) (one row per iterate) and the member index m of each row
+    to p'/p at those iterates, so each member may carry its own q.  Only
+    iterates that have not converged are evaluated, in row blocks of at most
+    _BLOCK entries that rows of several members may share; the repulsion
+    term of an iterate sums over all iterates of its own member, frozen ones
+    included.  Reductions are elementwise products and row sums, not BLAS,
+    so concurrent worker processes do not contend for BLAS threads.
 
-    Converged iterates are frozen, and last_step reports each iterate's
-    relative step at its final evaluation.  A deterministic index-asymmetric
-    kick is applied if the maximum step stops shrinking (the plain iteration
-    can lock into a mirror-symmetric limit cycle when the true roots sit on
-    the symmetry axis of the seed configuration).
+    Converged iterates are frozen, and last_step reports each member's
+    largest relative step at the final evaluation of its iterates.  A
+    deterministic index-asymmetric kick is applied to a member whose maximum
+    step stops shrinking (the plain iteration can lock into a
+    mirror-symmetric limit cycle when the true roots sit on the symmetry axis
+    of the seed configuration).  Every member gets the iterates, iteration
+    count, converged flag and last_step that it would get alone; for a
+    (B, n) seed they come back as (B, n), (B,), (B,) and (B,) arrays.
     """
-    z = np.array(z0, dtype=complex)
-    n = z.size
+    zm = np.array(z0, dtype=complex, ndmin=2, order="C")
+    nb, n = zm.shape
+    z = zm.reshape(-1)
+    member, pos = np.divmod(np.arange(z.size), n)
     rows = max(1, _BLOCK // max(n, eps.size))
     eps = eps.astype(complex)  # complex operands spare numpy a casting pass per block
-    active = np.ones(n, dtype=bool)
-    hist: list[float] = []
+    active = np.ones(z.size, dtype=bool)
+    its = np.zeros(nb, dtype=int)
     twist = np.exp(2j * np.pi * _GOLDEN * np.arange(n))
-    step = np.zeros(n)
+    step = np.zeros(z.size)
+
+    def largest_active_step():
+        return np.where(active, step, 0.0).reshape(nb, n).max(axis=1, initial=0.0)
+
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for it in range(maxiter):
             idx = np.flatnonzero(active)
+            its[member[idx]] = it + 1
             wa = np.empty(idx.size, dtype=complex)
             for b0 in range(0, idx.size, rows):
                 ib = idx[b0 : b0 + rows]
+                mb = member[ib]
                 zb = z[ib]
+                if nb == 1:
+                    zz = zb[:, None] - z[None, :]
+                else:
+                    zz = zm[mb]
+                    np.subtract(zb[:, None], zz, out=zz)
+                zz[np.arange(ib.size), pos[ib]] = np.inf
+                np.reciprocal(zz, out=zz)
+                repel = zz.sum(axis=1)
+                del zz  # one block temporary at a time: the callback makes its own
                 r = zb[:, None] - eps[None, :]
                 np.reciprocal(r, out=r)
-                zz = zb[:, None] - z[None, :]
-                zz[np.arange(ib.size), ib] = np.inf
-                np.reciprocal(zz, out=zz)
-                newt = 1.0 / logderiv(r)
-                wa[b0 : b0 + rows] = newt / (1.0 - newt * zz.sum(axis=1))
+                newt = 1.0 / logderiv(r, mb)
+                wa[b0 : b0 + rows] = newt / (1.0 - newt * repel)
             wa[~np.isfinite(wa)] = 0.0
             za = z[idx]
             sa = np.abs(wa) / (1.0 + np.abs(za))
@@ -171,24 +206,36 @@ def _aberth(eps, logderiv, z0, maxiter=500, tol=5e-14):
             z[idx] = za - wa
             active[idx] = ~(sa < tol)
             if not active.any():
-                return z, it + 1, True, float(step.max(initial=0.0))
-            hist.append(float(step[active].max()))
-            if it >= 25 and it % 25 == 0 and hist[-1] > 0.5 * hist[-25]:
+                break
+            # stall test: each member's largest active step against its value 24 iterations back
+            if it % 25 == 1:
+                ref = largest_active_step()
+            elif it >= 25 and it % 25 == 0:
+                stuck = largest_active_step() > 0.5 * ref
+                keep = active[idx] & stuck[member[idx]]
                 amp = np.abs(wa) + 1e-14
-                keep = active[idx]
-                z[idx[keep]] += 0.35 * amp[keep] * twist[idx[keep]]
-    return z, maxiter, False, float(step[active].max())
+                z[idx[keep]] += 0.35 * amp[keep] * twist[pos[idx[keep]]]
+    ok = ~active.reshape(nb, n).any(axis=1)
+    last = np.where(active | ok[member], step, 0.0).reshape(nb, n).max(axis=1, initial=0.0)
+    if np.ndim(z0) == 1:
+        return z, int(its[0]), bool(ok[0]), float(last[0])
+    return zm, its, ok, last
 
 
-def _spectrum_logderiv(v2: np.ndarray, lam: complex):
-    """p'/p = sum r + g'/g with g = 1 + i*Lambda*S, S = sum r*v^2, S' = -sum r^2*v^2."""
+def _spectrum_logderiv(v2: np.ndarray, lam):
+    """p'/p = sum r + g'/g with g = 1 + i*Lambda*S, S = sum r*v^2, S' = -sum r^2*v^2.
+
+    lam is one coupling, or one per member of a batched _aberth call.
+    """
     v2 = v2.astype(complex)
+    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+    il, nil = 1j * lam, -1j * lam
 
-    def logderiv(r):
+    def logderiv(r, m):
         rv = r * v2
-        g = 1.0 + 1j * lam * rv.sum(axis=1)
+        g = 1.0 + il[m] * rv.sum(axis=1)
         rv *= r
-        gp = -1j * lam * rv.sum(axis=1)
+        gp = nil[m] * rv.sum(axis=1)
         return r.sum(axis=1) + gp / g
 
     return logderiv
@@ -363,6 +410,22 @@ class Spectrum:
         return int(self.energies.size)
 
 
+def _slots(eps: np.ndarray, act: np.ndarray, warm: np.ndarray) -> np.ndarray:
+    """The warm-start entry slot[k] that continues level k.
+
+    Coupled level k continues warm[k], except that a split-off level d
+    (act[d] false) whose energy sits at another entry trades entries with
+    the level seeded there, which then continues warm[d], the root its own
+    entry displaced.
+    """
+    slot = np.arange(eps.size)
+    for d in np.flatnonzero(~act):
+        hit = np.flatnonzero(warm[slot] == eps[d])
+        if hit.size and warm[slot[d]] != eps[d]:
+            slot[[d, hit[0]]] = slot[[hit[0], d]]
+    return slot
+
+
 def eigen_spectrum(
     model: EffectiveModel,
     coupling,
@@ -404,10 +467,7 @@ def eigen_spectrum(
         warm_start = np.asarray(warm_start, dtype=complex)
         if warm_start.shape != (n,):
             raise ValueError("warm_start must have one entry per level")
-        for d in np.flatnonzero(~act):  # a bare level swaps entries with the iterate seeded at its energy
-            hit = np.flatnonzero(warm_start[slot] == eps[d])
-            if hit.size and warm_start[slot[d]] != eps[d]:
-                slot[[d, hit[0]]] = slot[[hit[0], d]]
+        slot = _slots(eps, act, warm_start)
     if act.any():
         eps_a = eps[act]
         v2_a = v[act] ** 2
@@ -448,6 +508,34 @@ def eigen_spectrum(
         condition=cond,
         _build_vectors=partial(_c_normalized_vectors, order, act, cols, e_act, eps[act], v[act]),
     )
+
+
+def _continue_batch(model: EffectiveModel, couplings: np.ndarray, seeds: np.ndarray):
+    """Roots at B couplings from one batched _aberth call; returns (roots, ok).
+
+    Row b of seeds is the warm start for couplings[b], read as
+    eigen_spectrum reads warm_start.  roots[b, j] continues seeds[b, j]:
+    only coupled levels are iterated, and a split-off level stays at its
+    bare energy in the entry that holds it.  ok[b] says that member b
+    converged at a nonzero coupling.  Nothing is retried and no stall is
+    accepted: a member that is not ok is left to eigen_spectrum.
+    """
+    lam = np.asarray(couplings, dtype=complex)
+    seeds = np.asarray(seeds, dtype=complex)
+    eps = model.epsilons
+    v = model.couplings
+    act = v != 0.0
+    slot = np.array([_slots(eps, act, w) for w in seeds])
+    e_full = np.repeat(eps.astype(complex)[None, :], lam.size, axis=0)
+    ok = lam != 0
+    if act.any():
+        warm = np.take_along_axis(seeds, slot[:, act], axis=1)
+        z, _, conv, _ = _aberth(eps[act], _spectrum_logderiv(v[act] ** 2, lam), warm)
+        e_full[:, act] = z
+        ok &= conv
+    roots = np.empty_like(e_full)
+    np.put_along_axis(roots, slot, e_full, axis=1)
+    return roots, ok
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,22 @@
 """Eigenvalue motion along coupling sweeps and width bookkeeping.
 
 A sweep follows all N complex eigenvalues along a grid of couplings
-Lambda = lambda * exp(1j*phi), warm-starting each solve from the previous
-point.  The continuation is iterate identity: the solver reports in
-Spectrum.warm_order which state continues which warm-start entry, so no
-matching happens here.  A step is accepted only if every root moved by less
-than roughly half its distance to the nearest other root (the balls are
-then disjoint and the continuation is unique); otherwise the step is
-bisected.  An exceptional point crossed by the path makes the continuation
-genuinely undefined (the two branches reconnect at equal distances), which
-surfaces as TrajectoryAmbiguityError unless the caller opts into canonical
-sorted order at such points.
+Lambda = lambda * exp(1j*phi).  The continuation is iterate identity: each
+root is iterated from a seed that belongs to one column, so no matching
+happens here.  After the first (cold) point, grid points are solved in
+batches, one engine call per batch: every point's seed is the linear
+(secant) extrapolation of the last two accepted rows, or the last row alone
+when no second row continues it.  A point is accepted only if every root
+moved by less than roughly half its distance to the nearest other root (the
+balls are then disjoint and the continuation is unique); a batch keeps its
+leading run of accepted points.  The batch size doubles after a batch that
+is accepted whole, up to what one engine row block holds, and falls back to
+one point after a rejection.  The first rejected point is re-solved from
+the last row alone, warm-starting eigen_spectrum, and its step is bisected
+until it passes the same test.  An exceptional point crossed by the path
+makes the continuation genuinely undefined (the two branches reconnect at
+equal distances), which surfaces as TrajectoryAmbiguityError unless the
+caller opts into canonical sorted order at such points.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 
 from .errors import TrajectoryAmbiguityError
 from .models import EffectiveModel, phase_factor
-from .secular import _nearest_gap, eigen_spectrum
+from .secular import _BLOCK, _continue_batch, _nearest_gap, eigen_spectrum
 
 _MATCH_FACTOR = 0.45
 
@@ -50,8 +56,9 @@ class Trajectory:
         return int(self.energies.shape[1])
 
 
-def _matched(prev: np.ndarray, new: np.ndarray) -> bool:
-    return bool(np.all(np.abs(new - prev) <= _MATCH_FACTOR * _nearest_gap(new) + 1e-15))
+def _matched(prev: np.ndarray, new: np.ndarray):
+    """Whether each row of new continues the same row of prev (one bool per row of a stack)."""
+    return np.all(np.abs(new - prev) <= _MATCH_FACTOR * _nearest_gap(new) + 1e-15, axis=-1)
 
 
 def _advance(model, prev_roots, c_from, c_to, depth):
@@ -83,6 +90,9 @@ def sweep(
     cannot be matched even after bisection; policy='sorted' records the
     offending interval and continues from the canonically sorted spectrum,
     which is what a branch reconnection at an exceptional point requires.
+    Grid points are solved in batches from secant-extrapolated seeds (see
+    the module docstring); the rows agree with one warm solve per point up
+    to the iteration's stopping tolerance.
     """
     if policy not in ("raise", "sorted"):
         raise ValueError("policy must be 'raise' or 'sorted'")
@@ -91,10 +101,31 @@ def sweep(
         raise ValueError("empty coupling grid")
     phase = phase_factor(phi)
     cs = lam * phase
-    rows = np.empty((lam.size, model.n), dtype=complex)
+    n = model.n
+    rows = np.empty((lam.size, n), dtype=complex)
     rows[0] = eigen_spectrum(model, cs[0]).energies
     bad: list[tuple[float, float]] = []
-    for i in range(1, lam.size):
+    cap = max(1, _BLOCK // n**2)  # a whole batch fits one engine row block
+    size = 1
+    fresh = 0  # first row of the current run of matched rows
+    i = 1
+    while i < lam.size:
+        k = min(size, cap, lam.size - i)
+        prev = rows[i - 1]
+        if i - fresh >= 2 and lam[i - 1] != lam[i - 2]:
+            t = (lam[i : i + k] - lam[i - 1]) / (lam[i - 1] - lam[i - 2])
+            seeds = prev + t[:, None] * (prev - rows[i - 2])
+        else:
+            seeds = np.repeat(prev[None, :], k, axis=0)
+        roots, ok = _continue_batch(model, cs[i : i + k], seeds)
+        ok &= _matched(np.concatenate((prev[None, :], roots[:-1])), roots)
+        good = k if ok.all() else int(np.argmin(ok))
+        rows[i : i + good] = roots[:good]
+        i += good
+        if good == k:
+            size = min(2 * size, cap)
+            continue
+        size = 1
         roots, ok = _advance(model, rows[i - 1], cs[i - 1], cs[i], max_bisect)
         if not ok:
             if policy == "raise":
@@ -105,7 +136,9 @@ def sweep(
                 )
             bad.append((float(lam[i - 1]), float(lam[i])))
             roots = eigen_spectrum(model, cs[i]).energies
+            fresh = i
         rows[i] = roots
+        i += 1
     return Trajectory(
         lambdas=lam,
         couplings=cs,

@@ -136,6 +136,7 @@ def test_runtime_needs_only_numpy_and_click(tmp_path):
         ("loop", "radius = abc"),
         ("eps", "amplitude = abc"),
         ("loop", "samples = 0"),
+        ("loop", "windings = 0"),
         ("bcurve", "lambda_list = nan"),
     ],
 )
@@ -145,6 +146,24 @@ def test_bad_config_value_exits_2(tmp_path, command, text):
     res = run(command, "--config", str(conf), "--n", "5", "--jobs", "1", "--out", str(tmp_path))
     assert res.exit_code == 2
     assert "error:" in res.output
+
+
+@pytest.mark.parametrize("given, missing", [("--r", "t"), ("--t", "r")])
+def test_classify_needs_both_exponents(tmp_path, given, missing):
+    res = run("classify", given, "1", "--n", "5", "--lambda-step", "0.2", "--jobs", "1", "--out", str(tmp_path))
+    assert res.exit_code == 2
+    assert "error:" in res.output and "%s is missing" % missing in res.output
+    assert not (tmp_path / "classify.csv").exists()
+
+
+def test_loop_writes_plain_numbers(tmp_path):
+    # numpy 2 scalars print as np.float64(...); no output may carry that type name
+    assert run("loop", "--jobs", "1", "--out", str(tmp_path)).exit_code == 0
+    written = sorted(tmp_path.iterdir())
+    assert [p.name for p in written] == ["loop_contour.csv", "loop_manifest.json", "omega_check.csv"]
+    for path in written:
+        assert "np." not in path.read_text(), path.name
+    assert "# radius: 0.34641016151377546" in (tmp_path / "loop_contour.csv").read_text()
 
 
 _SMALL = ("--n", "7", "--lambda-start", "0.1", "--lambda-stop", "0.5", "--lambda-step", "0.1", "--jobs", "1")

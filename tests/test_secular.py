@@ -340,3 +340,38 @@ def test_warm_seeds_skip_the_bare_level_entry(monkeypatch):
         rest = np.delete(prev, np.flatnonzero(prev == bare[0])[0])
         np.testing.assert_array_equal(np.sort(seeds[0]), np.sort(rest))
         prev = spec.energies
+
+
+@pytest.mark.parametrize(
+    "model",
+    [build_picket_fence(15), build_perturbed_fence(15, 0.2, 1), build_power_law(15, 1.0, 4.0)],
+    ids=["fence", "perturbed", "power_law"],
+)
+@pytest.mark.parametrize("maxiter", [500, 4])
+def test_batched_aberth_members_match_single_calls(monkeypatch, model, maxiter):
+    # 64-entry row blocks hold four 15-column rows, so members both share
+    # and split blocks; the power law's decoupled centre is left out as
+    # eigen_spectrum leaves it out
+    monkeypatch.setattr(secular, "_BLOCK", 64)
+    act = model.couplings != 0
+    eps, v2 = model.epsilons[act], model.couplings[act] ** 2
+    lams = np.array([0.05, 0.3, 0.31, 1 / np.pi, 0.9 + 0.2j, 3.0, 10.0, 0.3])
+    seeds = [secular._seeds(eps, v2, lam) for lam in lams[:-2]]
+    seeds[2] = secular._aberth(eps, secular._spectrum_logderiv(v2, 0.3), seeds[1])[0]  # a warm start
+    # iterates on the imaginary axis lock into a mirror-symmetric cycle and need the stall kick
+    seeds += [-1j * lam * np.linspace(0.1, 2.0, eps.size) for lam in lams[-2:]]
+    z, its, ok, last = secular._aberth(eps, secular._spectrum_logderiv(v2, lams), np.array(seeds), maxiter=maxiter)
+    assert z.shape == (lams.size, eps.size) and its.shape == ok.shape == last.shape == (lams.size,)
+    for b, lam in enumerate(lams):
+        z1, its1, ok1, last1 = secular._aberth(eps, secular._spectrum_logderiv(v2, lam), seeds[b], maxiter=maxiter)
+        assert (its[b], ok[b]) == (its1, ok1)
+        np.testing.assert_array_equal(z[b], z1)
+        assert last[b] == last1
+    if maxiter == 500:
+        assert ok.all()
+        monkeypatch.setattr(secular, "_GOLDEN", 0.3)  # another kick direction
+        z2 = secular._aberth(eps, secular._spectrum_logderiv(v2, lams), np.array(seeds), maxiter=maxiter)[0]
+        kicked = np.flatnonzero(np.any(z2 != z, axis=1))
+        assert kicked.size and set(kicked) <= {lams.size - 2, lams.size - 1}
+    else:
+        assert not ok.all()

@@ -10,6 +10,7 @@ from ep_atlas import (
     TrajectoryAmbiguityError,
     build_picket_fence,
     build_perturbed_fence,
+    build_power_law,
     central_band,
     eigen_spectrum,
     order_parameter,
@@ -18,7 +19,7 @@ from ep_atlas import (
     width_partition,
 )
 from ep_atlas.secular import _assign
-from ep_atlas.trajectories import _find_peaks
+from ep_atlas.trajectories import _advance, _find_peaks
 
 # real-axis coalescence coupling of the 4-level unit ladder (exact resultant root)
 FENCE4_REAL_EP = 0.412011997789875
@@ -155,3 +156,70 @@ def test_assign_serves_the_most_confident_row_first():
 
 def test_assign_single_root():
     np.testing.assert_array_equal(_assign(np.array([1.0 + 1j]), np.array([5j])), [0])
+
+
+def _stepwise(model, lam, policy):
+    """Reference sweep: one warm solve per grid point through _advance, with its bisection."""
+    rows = [eigen_spectrum(model, lam[0]).energies]
+    bad = []
+    for i in range(1, lam.size):
+        roots, ok = _advance(model, rows[-1], lam[i - 1], lam[i], 24)
+        if not ok:
+            if policy == "raise":
+                raise TrajectoryAmbiguityError("reference", interval=(float(lam[i - 1]), float(lam[i])))
+            bad.append((float(lam[i - 1]), float(lam[i])))
+            roots = eigen_spectrum(model, lam[i]).energies
+        rows.append(roots)
+    return np.array(rows), tuple(bad)
+
+
+_FIG1_GRID = 0.001 + 0.001 * np.arange(2000)
+
+
+@pytest.mark.parametrize(
+    "model, lam, policy, intervals",
+    [
+        (build_picket_fence(15), _FIG1_GRID, "sorted", ()),
+        (build_picket_fence(43), _FIG1_GRID, "sorted", ()),
+        (build_perturbed_fence(15, 0.1, 1), _FIG1_GRID, "sorted", ()),
+        (build_power_law(43, 1.0, 4.0), 0.001 + 0.005 * np.arange(400), "sorted", ((0.651, 0.656),)),
+        (build_perturbed_fence(9, 0.2, 3), np.arange(0.05, 1.0, 0.05), "raise", ()),
+    ],
+    ids=["fig1_n15", "fig1_n43", "perturbed_n15", "power_law_n43", "strict_perturbed"],
+)
+def test_batched_sweep_follows_the_stepwise_reference(model, lam, policy, intervals):
+    ref, ref_bad = _stepwise(model, lam, policy)
+    traj = sweep(model, lam, policy=policy)
+    assert ref_bad == traj.ambiguous_intervals == intervals
+    assert traj.energies.shape == ref.shape
+    # the same branch in every column, up to the iteration's stopping tolerance
+    assert np.abs(traj.energies - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize(
+    "model, lam",
+    [
+        (build_power_law(43, 1.0, 4.0), 0.001 + 0.005 * np.arange(400)),
+        (build_picket_fence(4), np.array([0.40, FENCE4_REAL_EP, 0.42])),
+    ],
+    ids=["power_law_n43", "fence4_collision"],
+)
+def test_batched_sweep_raises_where_the_reference_raises(model, lam):
+    with pytest.raises(TrajectoryAmbiguityError) as want:
+        _stepwise(model, lam, "raise")
+    with pytest.raises(TrajectoryAmbiguityError) as got:
+        sweep(model, lam, policy="raise")
+    assert got.value.interval == want.value.interval
+
+
+def test_batched_sweep_memory_is_bounded():
+    # batches of up to _BLOCK // N**2 points keep each engine temporary at one row block
+    m = build_picket_fence(43)
+    tracemalloc.start()
+    try:
+        traj = sweep(m, _FIG1_GRID, policy="sorted")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traj.energies.shape == (2000, 43)
+    assert peak < 4 * 2**20
