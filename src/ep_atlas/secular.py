@@ -115,11 +115,8 @@ def _nearest_gap(z: np.ndarray) -> np.ndarray:
     near = np.empty(flat.size)
     for b0 in range(0, flat.size, rows):
         ib = np.arange(b0, min(b0 + rows, flat.size))
-        if zm.shape[0] == 1:
-            gap = flat[ib, None] - zm
-        else:
-            gap = zm[ib // n]
-            np.subtract(flat[ib, None], gap, out=gap)
+        gap = zm[ib // n]
+        np.subtract(flat[ib, None], gap, out=gap)
         gap = np.abs(gap)
         gap[np.arange(ib.size), ib % n] = np.inf  # a point's distance to itself
         near[ib] = gap.min(axis=1)
@@ -186,11 +183,8 @@ def _aberth(eps, logderiv, z0, maxiter=500, tol=5e-14):
                 ib = idx[b0 : b0 + rows]
                 mb = member[ib]
                 zb = z[ib]
-                if nb == 1:
-                    zz = zb[:, None] - z[None, :]
-                else:
-                    zz = zm[mb]
-                    np.subtract(zb[:, None], zz, out=zz)
+                zz = zm[mb]
+                np.subtract(zb[:, None], zz, out=zz)
                 zz[np.arange(ib.size), pos[ib]] = np.inf
                 np.reciprocal(zz, out=zz)
                 repel = zz.sum(axis=1)
@@ -518,9 +512,11 @@ def _continue_batch(model: EffectiveModel, couplings: np.ndarray, seeds: np.ndar
     only coupled levels are iterated, and a split-off level stays at its
     bare energy in the entry that holds it.  ok[b] says that member b
     converged at a nonzero coupling.  Nothing is retried and no stall is
-    accepted: a member that is not ok is left to eigen_spectrum.
+    accepted: a member that is not ok is left to eigen_spectrum.  Raises
+    InvalidCouplingError for a NaN or infinite coupling, as eigen_spectrum
+    does.
     """
-    lam = np.asarray(couplings, dtype=complex)
+    lam = np.array([_as_lambda(c) for c in couplings], dtype=complex)
     seeds = np.asarray(seeds, dtype=complex)
     eps = model.epsilons
     v = model.couplings

@@ -10,13 +10,13 @@ when no second row continues it.  A point is accepted only if every root
 moved by less than roughly half its distance to the nearest other root (the
 balls are then disjoint and the continuation is unique); a batch keeps its
 leading run of accepted points.  The batch size doubles after a batch that
-is accepted whole, up to what one engine row block holds, and falls back to
-one point after a rejection.  The first rejected point is re-solved from
-the last row alone, warm-starting eigen_spectrum, and its step is bisected
-until it passes the same test.  An exceptional point crossed by the path
-makes the continuation genuinely undefined (the two branches reconnect at
-equal distances), which surfaces as TrajectoryAmbiguityError unless the
-caller opts into canonical sorted order at such points.
+is accepted whole, up to what half an engine row block holds, and falls
+back to one point after a rejection.  The first rejected point is re-solved
+from the last row alone, warm-starting eigen_spectrum, and its step is
+bisected until it passes the same test.  An exceptional point crossed by
+the path makes the continuation genuinely undefined (the two branches
+reconnect at equal distances), which surfaces as TrajectoryAmbiguityError
+unless the caller opts into canonical sorted order at such points.
 """
 
 from __future__ import annotations
@@ -105,7 +105,9 @@ def sweep(
     rows = np.empty((lam.size, n), dtype=complex)
     rows[0] = eigen_spectrum(model, cs[0]).energies
     bad: list[tuple[float, float]] = []
-    cap = max(1, _BLOCK // n**2)  # a whole batch fits one engine row block
+    # the engine holds two batch-sized temporaries at once (r and the callback's product):
+    # half a row block each keeps the pair within one block
+    cap = max(1, _BLOCK // (2 * n**2))
     size = 1
     fresh = 0  # first row of the current run of matched rows
     i = 1

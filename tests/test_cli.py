@@ -138,6 +138,8 @@ def test_runtime_needs_only_numpy_and_click(tmp_path):
         ("loop", "samples = 0"),
         ("loop", "windings = 0"),
         ("bcurve", "lambda_list = nan"),
+        ("sweep", "lambda_list = 0.1, nan"),
+        ("sweep", "lambda_list = 0.1, inf, 0.3"),
     ],
 )
 def test_bad_config_value_exits_2(tmp_path, command, text):
