@@ -23,7 +23,21 @@ converged, in row blocks of at most _BLOCK complex entries, so temporaries
 are O(N*B) rather than N x N.  One call can also carry a batch of
 independent root sets over the same poles (for a sweep, one per coupling):
 their rows share blocks, which spreads the per-call cost, while each set
-iterates, converges and stops exactly as it would alone.
+iterates, converges and stops exactly as it would alone.  An iterate stops
+when its relative step falls below tol, or when rounding keeps it above:
+its step stops shrinking after falling below 1e-12, or lies under the
+rounding bound u*sum|v^2 r|/|S'| of the secular sum.
+
+Cold seeds follow the collectivity transition, which splits the spectrum
+into one collective state of width about |Lambda|*sum(v^2) and N-1 trapped
+states whose widths shrink like 1/|Lambda|.  Below it (weak coupling) each
+level k is seeded at its first-order root eps_k - i*Lambda*v_k^2.  Above it
+each trapped state sits next to a zero of S between two adjacent levels,
+so the seeds are the first-order trapped states m + (i/Lambda)/S'(m) at
+the N-1 gap midpoints m, plus the collective root.  The strong seeds are
+chosen when more than half of the levels have |Lambda|*v_k^2 >
+spacing_k/pi, spacing_k being the distance to the nearest other level.
+Either way a cold solve costs a few row evaluations per root.
 
 Eigenvectors inherit the rank-one form, psi_j = v_j r_j with
 r = 1/(E - eps).  The bilinear self-overlap of that raw vector is
@@ -137,7 +151,7 @@ def _separate(z: np.ndarray, jitter: complex) -> np.ndarray:
     return z
 
 
-def _aberth(eps, logderiv, z0, maxiter=500, tol=5e-14):
+def _aberth(eps, logderiv, z0, maxiter=500, tol=5e-14, floor=None):
     """Simultaneous root iteration; returns (roots, iterations, converged, last_step).
 
     The roots are those of p(E) = prod_k (E - eps_k) * q(E) for a rational q.
@@ -151,6 +165,12 @@ def _aberth(eps, logderiv, z0, maxiter=500, tol=5e-14):
     included.  Reductions are elementwise products and row sums, not BLAS,
     so concurrent worker processes do not contend for BLAS threads.
 
+    An iterate converges when its relative step falls below tol, or when
+    rounding keeps it from getting there: when its step stops shrinking
+    after falling below 1e-12, or, given floor(z) (the absolute rounding
+    bound of a step at the points z), when a step below 1e-7 that shrank by
+    less than a factor of 10 is below that bound; floor is evaluated only
+    for such iterates.
     Converged iterates are frozen, and last_step reports each member's
     largest relative step at the final evaluation of its iterates.  A
     deterministic index-asymmetric kick is applied to a member whose maximum
@@ -196,9 +216,18 @@ def _aberth(eps, logderiv, z0, maxiter=500, tol=5e-14):
             wa[~np.isfinite(wa)] = 0.0
             za = z[idx]
             sa = np.abs(wa) / (1.0 + np.abs(za))
+            done = sa < tol
+            # a step below 1e-7 that shrinks slowly may be rounding noise, not the distance to the root
+            low = np.flatnonzero(~done & (sa < 1e-7)) if it else ()
+            if len(low):
+                prev = step[idx[low]]
+                done[low] = (sa[low] < 1e-12) & (sa[low] >= prev)
+                near = low[~done[low] & (sa[low] > 0.1 * prev)]
+                if floor is not None and near.size:
+                    done[near] = np.abs(wa[near]) <= floor(za[near])
             step[idx] = sa
             z[idx] = za - wa
-            active[idx] = ~(sa < tol)
+            active[idx] = ~done
             if not active.any():
                 break
             # stall test: each member's largest active step against its value 24 iterations back
@@ -235,22 +264,67 @@ def _spectrum_logderiv(v2: np.ndarray, lam):
     return logderiv
 
 
-def _seeds(eps: np.ndarray, v2: np.ndarray, lam: complex) -> np.ndarray:
-    """First-order onsite seeds, with one swapped for the collective root.
+def _step_floor(eps: np.ndarray, v2: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Rounding bound u*sum|v^2 r|/|S'| of a secular Newton step at each point z, r = 1/(z - eps)."""
+    rows = max(1, _BLOCK // eps.size)
+    out = np.empty(z.size)
+    for b0 in range(0, z.size, rows):
+        r = z[b0 : b0 + rows, None] - eps[None, :]
+        np.reciprocal(r, out=r)
+        a = np.abs(r)
+        a *= v2
+        r *= r
+        r *= v2
+        out[b0 : b0 + rows] = a.sum(axis=1) / np.abs(r.sum(axis=1))
+    return np.finfo(float).eps * out
 
+
+def _slope(x: np.ndarray, eps: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """S'(x) = -sum v^2/(x - eps)^2 at real points x, in place in one real row-block buffer."""
+    rows = max(1, _BLOCK // eps.size)
+    out = np.empty(x.size)
+    buf = np.empty((min(rows, x.size), eps.size))
+    for b0 in range(0, x.size, rows):
+        d = buf[: min(rows, x.size - b0)]
+        np.subtract(x[b0 : b0 + rows, None], eps[None, :], out=d)
+        np.square(d, out=d)
+        np.divide(v2, d, out=d)
+        out[b0 : b0 + rows] = -d.sum(axis=1)
+    return out
+
+
+def _seeds(eps: np.ndarray, v2: np.ndarray, lam: complex) -> np.ndarray:
+    """Cold seeds for the coupled levels eps (strictly increasing, v2 > 0), one per level.
+
+    Strong regime, when more than half of the levels have
+    |Lambda|*v_k^2 > spacing_k/pi (spacing_k: distance to the nearest other
+    level): the collective root centroid - 1j*Lambda*sum(v^2) seeds the level
+    nearest to it, level j say, and the trapped states m + (i/Lambda)/S'(m)
+    at the gap midpoints m seed the rest, level k < j from the gap above it
+    and level k > j from the gap below it.
+
+    Weak regime otherwise: first-order onsite seeds eps_k - 1j*Lambda*v_k^2.
     Once |Lambda|*sum(v^2) is comparable to the level span, one eigenvalue
-    separates from the cloud toward centroid - 1j*Lambda*sum(v^2); seeding it
-    explicitly keeps the iteration from splitting a single deep root across
-    two iterates.  Seeds closer than 1e-12*scale are jittered apart
-    deterministically so the Aberth repulsion term is finite.
+    separates from the cloud toward the collective root; the seed nearest it
+    is swapped for it, which keeps the iteration from splitting a single
+    deep root across two iterates.
+
+    Seeds closer than 1e-12*scale are jittered apart deterministically so
+    the Aberth repulsion term is finite.
     """
     n = eps.size
     tot = v2.sum()
+    cen = (eps * v2).sum() / tot
+    deep = cen - 1j * lam * tot
+    gap = np.diff(eps)
+    spacing = np.minimum(np.append(gap, np.inf), np.insert(gap, 0, np.inf))
+    if 2 * np.count_nonzero(abs(lam) * v2 > spacing / np.pi) > n:
+        mid = (eps[1:] + eps[:-1]) / 2.0
+        z = np.insert(mid + (1j / lam) / _slope(mid, eps, v2), int(np.argmin(np.abs(eps - deep))), deep)
+        return _separate(z, 0.7 + 0.7j)
     z = (eps - 1j * lam * v2).astype(complex)
     span = (eps.max() - eps.min()) if n > 1 else 1.0
     if n > 1 and abs(lam) * tot > span / (2 * n):
-        cen = (eps * v2).sum() / tot
-        deep = cen - 1j * lam * tot
         j = int(np.argmin(np.abs(z - deep)))
         z[j] = deep
     return _separate(z, 0.7 + 0.7j)
@@ -290,18 +364,19 @@ def _solve_roots(eps, v2, lam, warm=None, maxiter=500, tol=5e-14):
     all steps already below _STALL_ACCEPT is returned as converged-to-limit,
     with the stalled step size reported as the residual.
     """
-    logderiv = _spectrum_logderiv(v2, lam)
+    floor = partial(_step_floor, eps, v2)
+    run = partial(_aberth, eps, _spectrum_logderiv(v2, lam), maxiter=maxiter, tol=tol, floor=floor)
     z0 = _seeds(eps, v2, lam) if warm is None else warm
-    z, its, ok, last = _aberth(eps, logderiv, z0, maxiter=maxiter, tol=tol)
+    z, its, ok, last = run(z0)
     best = (z, its, last, False)
     if not ok and warm is not None:
         # warm start led the iteration astray; retry from scratch
-        z, its, ok, last = _aberth(eps, logderiv, _seeds(eps, v2, lam), maxiter=maxiter, tol=tol)
+        z, its, ok, last = run(_seeds(eps, v2, lam))
         if ok or last < best[2]:
             best = (z, its, last, True)
     if not ok and eps.size <= 64:
         h = np.diag(eps).astype(complex) - 1j * lam * np.outer(np.sqrt(v2), np.sqrt(v2))
-        z, its, ok, last = _aberth(eps, logderiv, np.linalg.eigvals(h), maxiter=maxiter, tol=tol)
+        z, its, ok, last = run(np.linalg.eigvals(h))
         if ok or last < best[2]:
             best = (z, its, last, True)
     z, its, last, retried = best
@@ -379,7 +454,10 @@ class Spectrum:
     cached (None when vectors were not requested).
 
     warm_order carries state identity across a coupling step: energies[warm_order][k]
-    continues warm_start[k] of the solve (level k on a cold solve).
+    continues warm_start[k] of the solve.  On a cold solve it continues the
+    seed of level k: its onsite seed below the transition; above it, the
+    collective seed for the level nearest that root, and for every other
+    level the trapped seed in its adjacent gap that faces that level.
     """
 
     energies: np.ndarray
@@ -526,7 +604,8 @@ def _continue_batch(model: EffectiveModel, couplings: np.ndarray, seeds: np.ndar
     ok = lam != 0
     if act.any():
         warm = np.take_along_axis(seeds, slot[:, act], axis=1)
-        z, _, conv, _ = _aberth(eps[act], _spectrum_logderiv(v[act] ** 2, lam), warm)
+        v2 = v[act] ** 2
+        z, _, conv, _ = _aberth(eps[act], _spectrum_logderiv(v2, lam), warm, floor=partial(_step_floor, eps[act], v2))
         e_full[:, act] = z
         ok &= conv
     roots = np.empty_like(e_full)

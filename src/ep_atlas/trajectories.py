@@ -204,15 +204,22 @@ def turning_points(traj: Trajectory, *, prominence: float = 1e-4) -> list[Turnin
     A trapped state's width grows, turns over near the transition, and
     decays; the turnover location is refined by a parabola through the peak
     sample and its neighbors.  Only peaks with the requested prominence are
-    reported, so monotone branches contribute nothing.
+    reported, so monotone branches contribute nothing.  The points come in
+    order of lam; lam values within 1e-12 (relative) of each other are ties,
+    ordered by state, so rounding noise cannot reorder a mirror pair.
     """
     out: list[TurningPoint] = []
     g = traj.widths
     for k in range(traj.n_states):
         for i in _find_peaks(g[:, k], prominence):
             out.append(TurningPoint(state=k, lam=_vertex(traj.lambdas, g[:, k], i), width=float(g[i, k])))
-    out.sort(key=lambda t: (t.lam, t.state))
-    return out
+    if not out:
+        return out
+    out.sort(key=lambda t: t.lam)
+    lam = np.array([t.lam for t in out])
+    tie = np.diff(lam) <= 1e-12 * np.maximum(1.0, np.abs(lam[1:]))
+    group = np.concatenate(([0], np.cumsum(~tie)))
+    return [out[j] for j in np.lexsort(([t.state for t in out], group))]
 
 
 def broad_index(energies: np.ndarray) -> int:
@@ -273,13 +280,18 @@ def order_parameter(model: EffectiveModel, lam_values, phi: float = 0.0) -> Orde
 
     The reduced slope d(Gamma_0)/d(lambda) / N switches from near zero to
     order one across the collectivity transition, which is what makes
-    Gamma_0/N an order parameter for it.
+    Gamma_0/N an order parameter for it.  Each grid point is warm-started
+    from the previous one, except where |lambda| more than doubles: a cold
+    solve, seeded for the regime, costs less than a warm start across such
+    a jump.
     """
     lam = np.asarray(list(lam_values), dtype=float)
     phase = phase_factor(phi)
     g0 = np.empty(lam.size)
     prev = None
     for i, s in enumerate(lam):
+        if i and abs(s) > 2 * abs(lam[i - 1]):
+            prev = None
         spec = eigen_spectrum(model, s * phase, warm_start=prev)
         prev = spec.energies
         g0[i] = float(spec.widths.max())

@@ -127,6 +127,15 @@ def test_runtime_needs_only_numpy_and_click(tmp_path):
         )
         assert r.returncode == 0, r.stderr
         assert (tmp_path / args[0] / ("%s_manifest.json" % args[0])).is_file()
+    # a strong-regime cold solve must not import numpy.ma (np.median does), which costs peak RSS
+    solve = (
+        "import sys; sys.modules.update(scipy=None, sympy=None, mpmath=None); "
+        "from ep_atlas import build_picket_fence, eigen_spectrum; "
+        "eigen_spectrum(build_picket_fence(101), 3.0); "
+        "assert 'numpy.ma' not in sys.modules"
+    )
+    r = subprocess.run([sys.executable, "-c", solve], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
 
 
 @pytest.mark.parametrize(

@@ -375,3 +375,69 @@ def test_batched_aberth_members_match_single_calls(monkeypatch, model, maxiter):
         assert kicked.size and set(kicked) <= {lams.size - 2, lams.size - 1}
     else:
         assert not ok.all()
+
+
+# Every model family, on both sides of the transition; the under-compensated
+# power law (r=0, t=4) has no transition and stays in the weak regime.
+FAMILIES = {
+    "fence": lambda n: build_picket_fence(n),
+    "perturbed_fence": lambda n: build_perturbed_fence(n, 0.3, 11),
+    "power_law_1_4": lambda n: build_power_law(n, 1.0, 4.0),
+    "power_law_0_4": lambda n: build_power_law(n, 0.0, 4.0),
+    "power_law_1_3": lambda n: build_power_law(n, 1.0, 3.0),
+    "poisson_ensemble": lambda n: build_spacing_ensemble(n, "poisson", 5),
+}
+
+
+@pytest.mark.parametrize("phi", [0.0, 30.0])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_cold_solves_match_lapack_in_both_regimes(name, phi):
+    m = FAMILIES[name](101)
+    for lam in (0.3, 0.5, 1.0, 3.0, 10.0):
+        c = CouplingParameter(lam, phi)
+        scale = max(1.0, float(np.abs(m.epsilons).max()), lam * m.coupling_strength)
+        ref = np.linalg.eigvals(m.hamiltonian(c))
+        assert_complex_sets_close(eigen_spectrum(m, c).energies, ref, atol=5e-14 * scale)
+
+
+def test_seeds_follow_the_regime():
+    # weak: onsite seeds eps - i*Lambda*v^2; strong: one seed per gap midpoint
+    # plus the collective seed, which takes the level nearest to it
+    m = build_picket_fence(101)
+    eps, v2 = m.epsilons, m.couplings**2
+    weak = secular._seeds(eps, v2, 0.3)
+    np.testing.assert_array_equal(weak.real, eps)
+    strong = secular._seeds(eps, v2, 0.35)
+    deep = -1j * 0.35 * 101
+    assert strong[50] == deep
+    np.testing.assert_allclose(np.delete(strong, 50).real, (eps[1:] + eps[:-1]) / 2, atol=1e-12)
+    assert np.all(np.delete(strong, 50).imag < 0)
+
+
+@pytest.mark.parametrize("name", ["fence", "perturbed_fence", "power_law_1_4", "power_law_1_3", "poisson_ensemble"])
+def test_strong_cold_solve_iteration_budget(name):
+    # onsite seeds took 10-317 iterations here (the fence at Lambda = 3: 27)
+    m = FAMILIES[name](1001)
+    for lam in (1.0, 3.0, 10.0):
+        assert eigen_spectrum(m, lam).iterations <= 8, lam
+
+
+# find_eps(build_power_law(1001, 1, 4))[990].coupling
+PAIR_990 = complex(0.6378377672042315, 0.0017482890788018495)
+
+
+@pytest.mark.parametrize("delta", [1e-4, 1e-3])
+def test_solve_stops_at_the_rounding_floor(delta):
+    # one iterate's relative step cannot fall below tol there: it hovers at
+    # about 1e-13, under the rounding bound of the secular sum, and used to
+    # run all 500 iterations before a stall acceptance
+    m = build_power_law(1001, 1.0, 4.0)
+    c = PAIR_990 * (1 + delta)
+    spec = eigen_spectrum(m, c)
+    assert spec.iterations <= 10
+    assert 5e-14 < spec.residual < 1e-12  # above tol, reported as it is
+    act = m.couplings != 0
+    eps, v2 = m.epsilons[act], m.couplings[act] ** 2
+    # without the bound, a step that stops shrinking below 1e-12 ends the iteration
+    _, its, ok, last = secular._aberth(eps, secular._spectrum_logderiv(v2, c), secular._seeds(eps, v2, c))
+    assert ok and its <= 12 and last < 1e-12

@@ -1,5 +1,7 @@
 """Eigenvalue trajectories: continuity, turning points, order parameter."""
 
+import dataclasses
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -9,6 +11,7 @@ from ep_atlas import (
     CouplingParameter,
     InvalidCouplingError,
     TrajectoryAmbiguityError,
+    b_curve,
     build_picket_fence,
     build_perturbed_fence,
     build_power_law,
@@ -74,6 +77,23 @@ def test_turning_point_count_frozen():
     lams = [t.lam for t in tps]
     assert all(0.0 < x < 2.0 for x in lams)
     assert all(t.width > 0 for t in tps)
+
+
+def test_turning_rows_ignore_rounding_noise():
+    # the mirror pairs of the default `sweep` (fence N=15) turn at lam values that
+    # agree to about 1e-15, so a 1-ulp change of the energies must not reorder them
+    traj = sweep(build_picket_fence(15), 0.001 + 0.001 * np.arange(2000), policy="sorted")
+    want = turning_points(traj)
+    assert len(want) == 14
+    # every energy moves by one ulp; the two halves of the ladder, and neighbouring
+    # grid points, move in opposite directions
+    flip = (np.arange(2000)[:, None] % 2 == 0) == (np.arange(15)[None, :] < 7)
+    for up in (flip, ~flip):
+        e = traj.energies
+        nudged = e.real + 1j * np.nextafter(e.imag, np.where(up, np.inf, -np.inf))
+        got = turning_points(dataclasses.replace(traj, energies=nudged))
+        assert [t.state for t in got] == [t.state for t in want]
+        np.testing.assert_allclose([t.lam for t in got], [t.lam for t in want], rtol=1e-12)
 
 
 def test_width_partition_deep_collective():
@@ -235,3 +255,17 @@ def test_batched_sweep_memory_is_bounded():
         tracemalloc.stop()
     assert traj.energies.shape == (2000, 43)
     assert peak < 4_000_000
+
+
+@pytest.mark.parametrize("module, solve", [("trajectories", order_parameter), ("collectivity", b_curve)])
+def test_grid_solvers_go_cold_when_lambda_more_than_doubles(monkeypatch, module, solve):
+    # the order_n3001 grid, at a smaller N: 0.05 -> 1.025 is a jump, 1.025 -> 2.0 is not
+    calls = []
+
+    def spy(model, coupling, **kw):
+        calls.append(kw.get("warm_start") is not None)
+        return eigen_spectrum(model, coupling, **kw)
+
+    monkeypatch.setattr(importlib.import_module("ep_atlas." + module), "eigen_spectrum", spy)
+    solve(build_perturbed_fence(101, 0.1, 1), [0.05, 1.025, 2.0, 4.0, 8.5])
+    assert calls == [False, False, True, True, False]
