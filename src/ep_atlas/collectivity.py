@@ -96,10 +96,7 @@ def b_curve(model: EffectiveModel, lam_values, phi: float = 0.0) -> BCurve:
 
     Grid points that land too close to an exceptional point for stable
     normalization are recorded in `flagged` and carry NaN; they are skipped
-    by the peak search.  Each grid point is warm-started from the previous
-    one, except after a flagged point and where |lambda| more than doubles:
-    a cold solve, seeded for the regime, costs less than a warm start across
-    such a jump.
+    by the peak search.
     """
     lam = np.asarray(list(lam_values), dtype=float)
     phase = phase_factor(phi)
@@ -107,8 +104,6 @@ def b_curve(model: EffectiveModel, lam_values, phi: float = 0.0) -> BCurve:
     flagged: list[int] = []
     prev = None
     for i, s in enumerate(lam):
-        if i and abs(s) > 2 * abs(lam[i - 1]):
-            prev = None
         try:
             spec = eigen_spectrum(model, s * phase, compute_vectors=True, warm_start=prev)
             prev = spec.energies

@@ -221,10 +221,13 @@ def _aberth(eps, logderiv, z0, maxiter=500, tol=5e-14, floor=None):
             low = np.flatnonzero(~done & (sa < 1e-7)) if it else ()
             if len(low):
                 prev = step[idx[low]]
-                done[low] = (sa[low] < 1e-12) & (sa[low] >= prev)
-                near = low[~done[low] & (sa[low] > 0.1 * prev)]
-                if floor is not None and near.size:
-                    done[near] = np.abs(wa[near]) <= floor(za[near])
+                slow = sa[low] > 0.1 * prev  # both rules need a step that shrank by less than 10x
+                if slow.any():
+                    low, prev = low[slow], prev[slow]
+                    done[low] = (sa[low] < 1e-12) & (sa[low] >= prev)
+                    near = low[~done[low]]
+                    if floor is not None and near.size:
+                        done[near] = np.abs(wa[near]) <= floor(za[near])
             step[idx] = sa
             z[idx] = za - wa
             active[idx] = ~done
@@ -264,33 +267,30 @@ def _spectrum_logderiv(v2: np.ndarray, lam):
     return logderiv
 
 
-def _step_floor(eps: np.ndarray, v2: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Rounding bound u*sum|v^2 r|/|S'| of a secular Newton step at each point z, r = 1/(z - eps)."""
-    rows = max(1, _BLOCK // eps.size)
-    out = np.empty(z.size)
-    for b0 in range(0, z.size, rows):
-        r = z[b0 : b0 + rows, None] - eps[None, :]
-        np.reciprocal(r, out=r)
-        a = np.abs(r)
-        a *= v2
-        r *= r
-        r *= v2
-        out[b0 : b0 + rows] = a.sum(axis=1) / np.abs(r.sum(axis=1))
-    return np.finfo(float).eps * out
+def _slope(x: np.ndarray, eps: np.ndarray, v2: np.ndarray, magnitude: bool = False):
+    """S'(x) = -sum v^2/(x - eps)^2 at real or complex points x, in place in one row-block buffer.
 
-
-def _slope(x: np.ndarray, eps: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """S'(x) = -sum v^2/(x - eps)^2 at real points x, in place in one real row-block buffer."""
+    With magnitude, also returns sum |v^2/(x - eps)|, the scale of the rounding error of S(x).
+    """
     rows = max(1, _BLOCK // eps.size)
-    out = np.empty(x.size)
-    buf = np.empty((min(rows, x.size), eps.size))
+    out = np.empty(x.size, dtype=x.dtype)
+    mag = np.empty(x.size)
+    buf = np.empty((min(rows, x.size), eps.size), dtype=x.dtype)
     for b0 in range(0, x.size, rows):
         d = buf[: min(rows, x.size - b0)]
         np.subtract(x[b0 : b0 + rows, None], eps[None, :], out=d)
+        if magnitude:
+            mag[b0 : b0 + rows] = (v2 / np.abs(d)).sum(axis=1)
         np.square(d, out=d)
         np.divide(v2, d, out=d)
         out[b0 : b0 + rows] = -d.sum(axis=1)
-    return out
+    return (out, mag) if magnitude else out
+
+
+def _step_floor(eps: np.ndarray, v2: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Rounding bound u*sum|v^2 r|/|S'| of a secular Newton step at each point z, r = 1/(z - eps)."""
+    slope, mag = _slope(z, eps, v2, magnitude=True)
+    return np.finfo(float).eps * mag / np.abs(slope)
 
 
 def _seeds(eps: np.ndarray, v2: np.ndarray, lam: complex) -> np.ndarray:
@@ -359,10 +359,14 @@ def _solve_roots(eps, v2, lam, warm=None, maxiter=500, tol=5e-14):
     a cold solve).  The first attempt keeps that order by iterate identity;
     only a cold or dense retry's roots are mapped back onto it by _assign.
 
-    Near an exceptional point the root pair is defective and every algorithm
-    saturates at O(sqrt(machine eps)) absolute error; a run that stalls with
-    all steps already below _STALL_ACCEPT is returned as converged-to-limit,
-    with the stalled step size reported as the residual.
+    A converged solve may report a residual (largest relative step) above
+    tol, up to 1e-7: _aberth also stops an iterate whose step no longer
+    shrinks below 1e-12, or whose step below 1e-7 lies under the rounding
+    bound of the secular sum (_step_floor).  That is how solves at and near
+    an exceptional point end, where the root pair is defective and every
+    algorithm saturates at O(sqrt(machine eps)) absolute error.  A run that
+    still stalls with all steps already below _STALL_ACCEPT is returned as
+    converged-to-limit, with the stalled step size reported as the residual.
     """
     floor = partial(_step_floor, eps, v2)
     run = partial(_aberth, eps, _spectrum_logderiv(v2, lam), maxiter=maxiter, tol=tol, floor=floor)

@@ -441,3 +441,19 @@ def test_solve_stops_at_the_rounding_floor(delta):
     # without the bound, a step that stops shrinking below 1e-12 ends the iteration
     _, its, ok, last = secular._aberth(eps, secular._spectrum_logderiv(v2, c), secular._seeds(eps, v2, c))
     assert ok and its <= 12 and last < 1e-12
+
+
+@pytest.mark.parametrize("name", ["fence_43", "power_law_1_4_101"])
+def test_solves_at_exceptional_points_stop_at_the_rounding_floor(name):
+    # the root pair is defective there, so no iterate gets below sqrt(u) and
+    # the rounding bound ends the solve; these used to run 500 iterations and
+    # stall-accept, or raise SolverFailureError (fence: 5 of 42 EPs)
+    m = build_picket_fence(43) if name == "fence_43" else build_power_law(101, 1.0, 4.0)
+    for p in find_eps(m):
+        c = p.coupling
+        scale = max(1.0, float(np.abs(m.epsilons).max()), abs(c) * m.coupling_strength)
+        ref = np.linalg.eigvals(m.hamiltonian(c))
+        for warm in (None, eigen_spectrum(m, c * (1 - 1e-3)).energies):
+            spec = eigen_spectrum(m, c, warm_start=warm)
+            assert spec.iterations <= 40 and spec.residual < 1e-7
+            assert_complex_sets_close(spec.energies, ref, atol=2e-8 * scale)

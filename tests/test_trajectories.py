@@ -1,7 +1,6 @@
 """Eigenvalue trajectories: continuity, turning points, order parameter."""
 
 import dataclasses
-import importlib
 import tracemalloc
 
 import numpy as np
@@ -11,7 +10,6 @@ from ep_atlas import (
     CouplingParameter,
     InvalidCouplingError,
     TrajectoryAmbiguityError,
-    b_curve,
     build_picket_fence,
     build_perturbed_fence,
     build_power_law,
@@ -22,6 +20,7 @@ from ep_atlas import (
     turning_points,
     width_partition,
 )
+from ep_atlas import trajectories
 from ep_atlas.secular import _assign
 from ep_atlas.trajectories import _advance, _find_peaks
 
@@ -257,8 +256,7 @@ def test_batched_sweep_memory_is_bounded():
     assert peak < 4_000_000
 
 
-@pytest.mark.parametrize("module, solve", [("trajectories", order_parameter), ("collectivity", b_curve)])
-def test_grid_solvers_go_cold_when_lambda_more_than_doubles(monkeypatch, module, solve):
+def test_order_parameter_goes_cold_when_lambda_more_than_doubles(monkeypatch):
     # the order_n3001 grid, at a smaller N: 0.05 -> 1.025 is a jump, 1.025 -> 2.0 is not
     calls = []
 
@@ -266,6 +264,6 @@ def test_grid_solvers_go_cold_when_lambda_more_than_doubles(monkeypatch, module,
         calls.append(kw.get("warm_start") is not None)
         return eigen_spectrum(model, coupling, **kw)
 
-    monkeypatch.setattr(importlib.import_module("ep_atlas." + module), "eigen_spectrum", spy)
-    solve(build_perturbed_fence(101, 0.1, 1), [0.05, 1.025, 2.0, 4.0, 8.5])
+    monkeypatch.setattr(trajectories, "eigen_spectrum", spy)
+    order_parameter(build_perturbed_fence(101, 0.1, 1), [0.05, 1.025, 2.0, 4.0, 8.5])
     assert calls == [False, False, True, True, False]
