@@ -31,7 +31,9 @@ class SolverFailureError(EpAtlasError):
     Attributes
     ----------
     diagnostics : dict
-        Seeds, iteration count and residuals at the point of failure.
+        n (the number of coupled levels iterated), lambda, iterations
+        (the iteration budget spent, maxiter) and max_relative_step (the
+        largest last relative step of an iterate that did not converge).
     """
 
     def __init__(self, message, diagnostics=None):

@@ -330,66 +330,6 @@ def _seeds(eps: np.ndarray, v2: np.ndarray, lam: complex) -> np.ndarray:
     return _separate(z, 0.7 + 0.7j)
 
 
-_STALL_ACCEPT = 1e-8  # near a defective pair no method localizes roots below ~sqrt(eps)
-
-
-def _assign(prev: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """Greedy proximity assignment prev[i] -> new[idx[i]], confident rows first.
-
-    Rows are served in order of their distance to the nearest new root, so a
-    root that clearly continues one branch is matched before a root halfway
-    between two branches can take its partner.
-    """
-    n = prev.size
-    cost = np.abs(prev[:, None] - new[None, :])
-    idx = np.empty(n, dtype=int)
-    taken = np.zeros(n, dtype=bool)
-    for i in np.argsort(cost.min(axis=1)):
-        row = np.where(taken, np.inf, cost[i])
-        j = int(np.argmin(row))
-        idx[i] = j
-        taken[j] = True
-    return idx
-
-
-def _solve_roots(eps, v2, lam, warm=None, maxiter=500, tol=5e-14):
-    """Aberth with warm start, cold and LAPACK-seeded retries, and rich failure info.
-
-    Roots come back in warm order: root k continues warm[k] (level k's seed on
-    a cold solve).  The first attempt keeps that order by iterate identity;
-    only a cold or dense retry's roots are mapped back onto it by _assign.
-
-    A converged solve may report a residual (largest relative step) above
-    tol, up to 1e-7: _aberth also stops an iterate whose step no longer
-    shrinks below 1e-12, or whose step below 1e-7 lies under the rounding
-    bound of the secular sum (_step_floor).  That is how solves at and near
-    an exceptional point end, where the root pair is defective and every
-    algorithm saturates at O(sqrt(machine eps)) absolute error.  A run that
-    still stalls with all steps already below _STALL_ACCEPT is returned as
-    converged-to-limit, with the stalled step size reported as the residual.
-    """
-    floor = partial(_step_floor, eps, v2)
-    run = partial(_aberth, eps, _spectrum_logderiv(v2, lam), maxiter=maxiter, tol=tol, floor=floor)
-    z0 = _seeds(eps, v2, lam) if warm is None else warm
-    z, its, ok, last = run(z0)
-    best = (z, its, last, False)
-    if not ok and warm is not None:
-        # warm start led the iteration astray; retry from scratch
-        z, its, ok, last = run(_seeds(eps, v2, lam))
-        if ok or last < best[2]:
-            best = (z, its, last, True)
-    if not ok and eps.size <= 64:
-        h = np.diag(eps).astype(complex) - 1j * lam * np.outer(np.sqrt(v2), np.sqrt(v2))
-        z, its, ok, last = run(np.linalg.eigvals(h))
-        if ok or last < best[2]:
-            best = (z, its, last, True)
-    z, its, last, retried = best
-    if not (ok or last <= _STALL_ACCEPT):
-        diagnostics = {"n": int(eps.size), "lambda": complex(lam), "iterations": its, "max_relative_step": last}
-        raise SolverFailureError("eigenvalue iteration did not converge", diagnostics=diagnostics)
-    return (z[_assign(z0, z)] if retried else z), its, last
-
-
 def _sorted_order(e: np.ndarray) -> np.ndarray:
     return np.lexsort((e.imag, e.real))
 
@@ -522,13 +462,21 @@ def eigen_spectrum(
     trades entries with level j, so level j is seeded from warm_start[d],
     the root its own entry displaced.
 
+    The roots come from one _aberth attempt, from warm_start or, on a cold
+    solve, from _seeds.  residual is its largest last relative step; near an
+    exceptional point, where a defective pair is defined only to about
+    sqrt(machine eps), the rounding-bound stop leaves it up to 1e-7.
+
     compute_vectors fills hermitian_norms and condition and makes vectors
     available; the eigenvector matrix is only built if vectors is read.
 
-    Raises InvalidCouplingError for a NaN or infinite coupling,
-    SolverFailureError if the iteration stalls, and (only when
-    compute_vectors is set) IllConditionedNormalizationError when some state
-    is too close to an exceptional point for c-normalization.
+    Raises InvalidCouplingError for a NaN or infinite coupling, ValueError
+    for a warm_start of the wrong shape or with a NaN or infinite entry,
+    SolverFailureError (with diagnostics n, lambda, iterations and
+    max_relative_step) if the iteration does not converge within maxiter
+    iterations, and (only when compute_vectors is set)
+    IllConditionedNormalizationError when some state is too close to an
+    exceptional point for c-normalization.
     """
     lam = _as_lambda(coupling)
     n = model.n
@@ -543,6 +491,8 @@ def eigen_spectrum(
         warm_start = np.asarray(warm_start, dtype=complex)
         if warm_start.shape != (n,):
             raise ValueError("warm_start must have one entry per level")
+        if not np.isfinite(warm_start).all():
+            raise ValueError("warm_start entries must be finite")
         slot = _slots(eps, act, warm_start)
     if act.any():
         eps_a = eps[act]
@@ -550,8 +500,13 @@ def eigen_spectrum(
         if eps_a.size == 1:
             roots = np.array([eps_a[0] - 1j * lam * v2_a[0]])
         else:
-            warm = None if warm_start is None else warm_start[slot[act]]
-            roots, its, last = _solve_roots(eps_a, v2_a, lam, warm=warm, maxiter=maxiter, tol=tol)
+            z0 = _seeds(eps_a, v2_a, lam) if warm_start is None else warm_start[slot[act]]
+            roots, its, ok, last = _aberth(
+                eps_a, _spectrum_logderiv(v2_a, lam), z0, maxiter=maxiter, tol=tol, floor=partial(_step_floor, eps_a, v2_a)
+            )
+            if not ok:
+                diagnostics = {"n": eps_a.size, "lambda": complex(lam), "iterations": its, "max_relative_step": last}
+                raise SolverFailureError("eigenvalue iteration did not converge", diagnostics=diagnostics)
         e_full[act] = roots
 
     order = _sorted_order(e_full)
@@ -593,8 +548,9 @@ def _continue_batch(model: EffectiveModel, couplings: np.ndarray, seeds: np.ndar
     eigen_spectrum reads warm_start.  roots[b, j] continues seeds[b, j]:
     only coupled levels are iterated, and a split-off level stays at its
     bare energy in the entry that holds it.  ok[b] says that member b
-    converged at a nonzero coupling.  Nothing is retried and no stall is
-    accepted: a member that is not ok is left to eigen_spectrum.  Raises
+    converged at a nonzero coupling.  Each member gets one attempt, as an
+    eigen_spectrum solve does; sweep solves the first member that is not ok
+    again, from the last accepted row and with bisection.  Raises
     InvalidCouplingError for a NaN or infinite coupling, as eigen_spectrum
     does.
     """
