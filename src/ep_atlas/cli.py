@@ -56,11 +56,6 @@ _CONFIG_KEYS = {
     "windings", "samples", "delta", "lam_factor", "radius",
 }
 
-_FLAG_KEYS = (
-    "n", "lambda_start", "lambda_stop", "lambda_step", "phi",
-    "r", "t", "amplitude", "seed", "out", "format", "jobs",
-)
-
 
 def _fmt(v) -> str:
     if isinstance(v, list):
@@ -93,9 +88,9 @@ def _resolve(command: str, kw: dict) -> dict:
         exp = cfg.pop("experiment", command)
         if exp != command:
             raise ConfigError("config is for experiment %r, but %r was invoked" % (exp, command))
-    for key in _FLAG_KEYS:
-        if kw.get(key) is not None:
-            cfg[key] = _fmt(kw[key])
+    for key, value in kw.items():
+        if key != "config_path" and value is not None:
+            cfg[key] = _fmt(value)
     return cfg
 
 
@@ -387,6 +382,8 @@ def _run_bcurve(cfg, emit):
 def _run_order(cfg, emit):
     model = _model_from(cfg, 1001)
     grid = _grid_from(cfg, 0.05, 1.0, 0.005)
+    if grid.size < 2:
+        raise ConfigError("order needs at least two grid points for the slope")
     phi = _get(cfg, "phi", 0.0, float)
     curve = order_parameter(model, grid, phi)
     meta = {"model": cfg.get("model", "picket"), "n": model.n, "phi_deg": phi, "lambda_c_ladder": repr(LADDER_CRITICAL)}
@@ -412,6 +409,8 @@ def _run_loop(cfg, emit):
     model = build_two_level(eps1, eps2, omega)
     ep = two_level_eps(eps1, eps2, omega)
     radius = _get(cfg, "radius", 0.4 * float(abs(ep.coupling - ep.partner)) / 2.0, float)
+    if radius <= 0:
+        raise ConfigError("radius must be positive")
     res = loop_ep(model, ep.coupling, radius, windings=windings, samples=samples)
     t, contour = _contour(ep.coupling, radius, windings, res.samples // abs(windings))
     theta = theta_along(eps1, eps2, omega, contour)

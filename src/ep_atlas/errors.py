@@ -59,7 +59,7 @@ class IncompleteSearchError(EpAtlasError):
     Attributes
     ----------
     found : list
-        The representatives located before giving up.
+        The representatives of the pairs the attempt formed.
     """
 
     def __init__(self, message, found=()):

@@ -37,6 +37,8 @@ from .errors import IncompleteSearchError
 from .models import EffectiveModel, build_picket_fence
 from .secular import _aberth, _separate
 
+_TOL = 5e-14  # Aberth stopping tolerance for the roots of R
+
 
 @dataclass(frozen=True)
 class ExceptionalPoint:
@@ -114,58 +116,34 @@ def _canonical(e: complex, lam: complex) -> tuple[complex, complex]:
     return e, lam
 
 
-def find_eps(model: EffectiveModel, *, tol: float = 5e-14, max_rounds: int = 4) -> list[ExceptionalPoint]:
+def find_eps(model: EffectiveModel) -> list[ExceptionalPoint]:
     """All exceptional-point representatives of the model, one per mirror pair.
 
     Returns N_active - 1 points sorted by (Re, Im) of the coupling, each
-    polished to a step residual well below 1e-9.  Raises
-    IncompleteSearchError (carrying whatever was found) if repeated seeding
-    rounds cannot account for the full set.
+    polished to a step residual well below 1e-9.  Raises IncompleteSearchError
+    (carrying the pairs that formed) if the one Aberth attempt from the gap
+    seeds does not converge or its roots do not pair into the full set.
     """
     eps, v2 = _active(model)
     m = eps.size
     if m < 2:
         return []
-    want = m - 1
-    seeds = _gap_seeds(eps, v2)
-    logderiv = _r_logderiv(v2)
-    gen = np.random.Generator(np.random.PCG64(0x5EED))
-    best: list[ExceptionalPoint] = []
-    for _ in range(max_rounds):
-        z0 = _separate(seeds.copy(), 0.7 + 0.3j)
-        roots, _, ok, _ = _aberth(eps, logderiv, z0, maxiter=600, tol=tol)
-        if ok:
-            pts = []
-            for z in roots:
-                s = (v2 / (z - eps)).sum()
-                e, lam, res = _polish(eps, v2, z, 1j / s)
-                pts.append(_canonical(e, lam) + (res,))
-            reps = _cluster(pts, want)
-            if reps is not None:
-                return reps
-            if len(_dedup(pts)) > len(best):
-                best = _dedup(pts)
-        span = float(eps.max() - eps.min()) if m > 1 else 1.0
-        seeds = _gap_seeds(eps, v2) + 0.05 * span * (
-            gen.standard_normal(2 * want) + 1j * gen.standard_normal(2 * want)
-        )
-    raise IncompleteSearchError(
-        "could not account for all %d exceptional-point pairs" % want,
-        found=tuple(best),
-    )
+    z0 = _separate(_gap_seeds(eps, v2), 0.7 + 0.3j)
+    roots, _, ok, _ = _aberth(eps, _r_logderiv(v2), z0, maxiter=600, tol=_TOL)
+    pts = []
+    if ok:
+        for z in roots:
+            s = (v2 / (z - eps)).sum()
+            e, lam, res = _polish(eps, v2, z, 1j / s)
+            pts.append(_canonical(e, lam) + (res,))
+    reps = _cluster(pts)
+    if len(reps) == m - 1:
+        return reps
+    raise IncompleteSearchError("could not account for all %d exceptional-point pairs" % (m - 1), found=reps)
 
 
-def _dedup(pts) -> list[ExceptionalPoint]:
-    out: list[ExceptionalPoint] = []
-    for e, lam, res in sorted(pts, key=lambda p: (p[1].real, p[1].imag)):
-        if any(abs(lam - q.coupling) <= 1e-6 * (1.0 + abs(lam)) for q in out):
-            continue
-        out.append(ExceptionalPoint(lam, e, -np.conj(lam), res, len(out)))
-    return out
-
-
-def _cluster(pts, want: int):
-    """Group canonicalized points into mirror pairs; None if the count is off.
+def _cluster(pts) -> list[ExceptionalPoint]:
+    """Group canonicalized points into mirror pairs, skipping any point without exactly one partner.
 
     Each point is paired with its unique unused partner within 1e-6 in both
     coupling and energy.  Partners are looked up by distance rather than by
@@ -185,12 +163,10 @@ def _cluster(pts, want: int):
         )
         j = np.flatnonzero(near & ~used)
         if j.size != 1:
-            return None
+            continue
         used[j[0]] = True
         a, b = pts[i], pts[j[0]]
         reps.append(((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0, max(a[2], b[2])))
-    if len(reps) != want:
-        return None
     reps.sort(key=lambda p: (p[1].real, p[1].imag))
     return [ExceptionalPoint(lam, e, -np.conj(lam), res, i) for i, (e, lam, res) in enumerate(reps)]
 

@@ -29,7 +29,10 @@ import numpy as np
 from .errors import ContourError, ResolutionError, ThetaSingularError
 from .models import EffectiveModel, build_two_level, phase_factor
 from .secular import _two_level_quadratic, eigen_spectrum
-from .exceptional import expand_ep_set, find_eps
+from .exceptional import expand_ep_set, find_eps, two_level_eps
+
+_MIN_OVERLAP = 0.99  # worst accepted bilinear overlap between consecutive samples
+_MAX_REFINEMENTS = 4  # sample doublings before ResolutionError
 
 
 @dataclass(frozen=True)
@@ -117,8 +120,6 @@ def loop_ep(
     *,
     windings: int = 1,
     samples: int = 512,
-    min_overlap: float = 0.99,
-    max_refinements: int = 4,
 ) -> LoopResult:
     """Transport every eigenvector around a circle in the coupling plane.
 
@@ -152,10 +153,10 @@ def loop_ep(
         raise ContourError("contour encloses %d exceptional points; isolate one" % inside.size)
 
     per_wind = int(samples)
-    for _ in range(max_refinements + 1):
+    for _ in range(_MAX_REFINEMENTS + 1):
         _, contour = _contour(center, radius, windings, per_wind)
         spec0, e_end, v_end, worst = _transport(model, contour)
-        if worst >= min_overlap:
+        if worst >= _MIN_OVERLAP:
             m = v_end.T @ spec0.vectors  # rows: transported states in the initial basis
             perm = tuple(int(np.argmax(np.abs(m[i]))) for i in range(m.shape[0]))
             signs = tuple(1 if m[i, perm[i]].real >= 0 else -1 for i in range(m.shape[0]))
@@ -175,7 +176,7 @@ def loop_ep(
             )
         per_wind *= 2
     raise ResolutionError(
-        "could not keep transport overlaps above %.3g even at %d samples per winding" % (min_overlap, per_wind // 2)
+        "could not keep transport overlaps above %.3g even at %d samples per winding" % (_MIN_OVERLAP, per_wind // 2)
     )
 
 
@@ -338,8 +339,6 @@ def omega_comparison(
 
 def two_level_loop(eps1: float, eps2: float, omega_deg: float, *, windings: int = 1, samples: int = 512) -> LoopResult:
     """Monodromy loop around the representative two-level exceptional point."""
-    from .exceptional import two_level_eps
-
     model = build_two_level(eps1, eps2, omega_deg)
     ep = two_level_eps(eps1, eps2, omega_deg)
     radius = 0.4 * abs(ep.coupling - ep.partner) / 2.0

@@ -30,6 +30,7 @@ from .models import EffectiveModel, phase_factor
 from .secular import _BLOCK, _continue_batch, _nearest_gap, eigen_spectrum
 
 _MATCH_FACTOR = 0.45
+_MAX_BISECT = 24  # halvings of a rejected step before it counts as ambiguous
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,6 @@ def sweep(
     phi: float = 0.0,
     *,
     policy: str = "raise",
-    max_bisect: int = 24,
 ) -> Trajectory:
     """Track all eigenvalues over a lambda grid at fixed phase phi (degrees).
 
@@ -128,7 +128,7 @@ def sweep(
             size = min(2 * size, cap)
             continue
         size = 1
-        roots, ok = _advance(model, rows[i - 1], cs[i - 1], cs[i], max_bisect)
+        roots, ok = _advance(model, rows[i - 1], cs[i - 1], cs[i], _MAX_BISECT)
         if not ok:
             if policy == "raise":
                 raise TrajectoryAmbiguityError(
@@ -283,9 +283,11 @@ def order_parameter(model: EffectiveModel, lam_values, phi: float = 0.0) -> Orde
     Gamma_0/N an order parameter for it.  Each grid point is warm-started
     from the previous one, except where |lambda| more than doubles: a cold
     solve, seeded for the regime, costs less than a warm start across such
-    a jump.
+    a jump.  Raises ValueError on fewer than two points (no slope).
     """
     lam = np.asarray(list(lam_values), dtype=float)
+    if lam.size < 2:
+        raise ValueError("order parameter needs at least two grid points")
     phase = phase_factor(phi)
     g0 = np.empty(lam.size)
     prev = None

@@ -146,6 +146,9 @@ def test_runtime_needs_only_numpy_and_click(tmp_path):
         ("eps", "amplitude = abc"),
         ("loop", "samples = 0"),
         ("loop", "windings = 0"),
+        ("loop", "radius = -0.1"),
+        ("loop", "radius = 0"),
+        ("order", "lambda_start = 0.5\nlambda_stop = 0.5"),
         ("bcurve", "lambda_list = nan"),
         ("sweep", "lambda_list = 0.1, nan"),
         ("sweep", "lambda_list = 0.1, inf, 0.3"),

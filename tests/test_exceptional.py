@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ep_atlas import (
+    IncompleteSearchError,
     OracleRangeError,
     accumulation_scan,
     build_picket_fence,
@@ -18,6 +19,7 @@ from ep_atlas import (
     resultant_oracle,
     two_level_eps,
 )
+from ep_atlas import exceptional
 from helpers import assert_complex_sets_close
 
 # Exact coalescence couplings of the 3-level unit ladder (energies -1, 0, 1).
@@ -135,3 +137,46 @@ def test_compensated_power_law_has_full_set(n):
         assert abs(s - 1j / p.coupling) <= 1e-8 * abs(s)
         assert abs(sp) <= 1e-8 * (v2 / np.abs(d) ** 2).sum()
 
+
+
+
+def _spy_aberth(monkeypatch, alter):
+    """Pass every root search of find_eps through alter(roots, ok); returns the list of calls."""
+    calls = []
+    aberth = exceptional._aberth
+
+    def spy(*args, **kwargs):
+        roots, its, ok, last = aberth(*args, **kwargs)
+        calls.append(its)
+        roots, ok = alter(roots.copy(), ok)
+        return roots, its, ok, last
+
+    monkeypatch.setattr(exceptional, "_aberth", spy)
+    return calls
+
+
+def test_unconverged_search_raises_after_one_attempt(monkeypatch):
+    calls = _spy_aberth(monkeypatch, lambda roots, ok: (roots, False))
+    with pytest.raises(IncompleteSearchError) as err:
+        find_eps(build_picket_fence(7))
+    assert len(calls) == 1
+    assert err.value.found == []
+
+
+def test_unpaired_root_keeps_the_pairs_that_formed(monkeypatch):
+    full = find_eps(build_picket_fence(7))
+
+    def duplicate(roots, ok):
+        # overwrite a root other than the mirror partner of roots[0] with roots[0]:
+        # the copy leaves one point with two partners and another with none
+        k = next(k for k in range(1, roots.size) if abs(roots[k] - roots[0].conjugate()) > 1e-6)
+        roots[k] = roots[0]
+        return roots, ok
+
+    calls = _spy_aberth(monkeypatch, duplicate)
+    with pytest.raises(IncompleteSearchError) as err:
+        find_eps(build_picket_fence(7))
+    assert len(calls) == 1
+    assert len(err.value.found) == 5
+    for p in err.value.found:
+        assert min(abs(p.coupling - q.coupling) for q in full) < 1e-12

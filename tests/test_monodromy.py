@@ -42,6 +42,15 @@ def test_two_level_winding_table(windings):
     assert len(res.enclosed) == 1
 
 
+def test_coarse_loop_is_refined():
+    # 4 samples per winding cannot keep the step overlaps above 0.99; two doublings can
+    coarse = two_level_loop(0.0, 1.0, 30.0, samples=4)
+    fine = two_level_loop(0.0, 1.0, 30.0)
+    assert coarse.samples == 16
+    assert coarse.min_overlap >= 0.99
+    assert (coarse.permutation, coarse.signs) == (fine.permutation, fine.signs)
+
+
 def test_loop_composition_is_group_like():
     # transporting twice must square the one-winding matrix
     one = two_level_loop(0.0, 1.0, 30.0, windings=1)

@@ -122,6 +122,13 @@ def test_order_parameter_transition():
     assert curve.gamma0_over_n.shape == lam.shape
 
 
+@pytest.mark.parametrize("lam", [[], [0.5]])
+def test_order_parameter_needs_two_points(lam):
+    # the slope is undefined on fewer than two grid points
+    with pytest.raises(ValueError):
+        order_parameter(build_picket_fence(11), lam)
+
+
 def test_sweep_perturbed_fence_strict_policy():
     m = build_perturbed_fence(9, 0.2, seed=3)
     traj = sweep(m, np.arange(0.05, 1.0, 0.05), policy="raise")
