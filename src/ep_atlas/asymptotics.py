@@ -31,6 +31,7 @@ from fractions import Fraction
 from .errors import BranchPointError, DivergentModelError, InvalidModelError, PoleProximityError
 
 LADDER_CRITICAL = 1.0 / math.pi
+_REL_TOL = 1e-10  # secular_integral stops once its tail bound is this share of the sum
 
 
 def infinite_fence_energy(k: int, lam) -> complex:
@@ -136,15 +137,14 @@ def _simpson(f, a, b, tol):
     return _adaptive_simpson(f, a, b, tol, fa, fm, fb, whole, 50)
 
 
-def secular_integral(z, r, t, *, cutoff: float | None = None, rel_tol: float = 1e-10) -> complex:
+def secular_integral(z, r, t) -> complex:
     """Continuum secular sum -2iz * int_1^inf k^r/(z^2+k^t) dk.
 
     z parametrizes the probe energy E = i z; for a collective state of width
     Gamma use z = Gamma/2.  The infinite tail is truncated adaptively once
-    the analytic remainder bound drops below rel_tol of the accumulated
-    value; passing `cutoff` instead integrates only up to a finite ladder
-    edge.  Raises PoleProximityError when z^2 is a negative real <= -1, which
-    puts a pole of the integrand on the integration path.
+    the analytic remainder bound drops below _REL_TOL of the accumulated
+    value.  Raises PoleProximityError when z^2 is a negative real <= -1,
+    which puts a pole of the integrand on the integration path.
     """
     z = complex(z)
     fr, ft = float(r), float(t)
@@ -157,30 +157,18 @@ def secular_integral(z, r, t, *, cutoff: float | None = None, rel_tol: float = 1
     def f(k):
         return k**fr / (z2 + k**ft)
 
-    if cutoff is not None:
-        if cutoff <= 1.0:
-            raise ValueError("cutoff must exceed the lower limit 1")
-        upper = float(cutoff)
-        total = 0.0 + 0.0j
-        a = 1.0
-        while a < upper:
-            b = min(2.0 * a, upper)
-            # panel errors add up across ~log2(range) dyadic panels; budget each
-            # one a 1/512 share so the end-to-end error stays below rel_tol
-            total += _simpson(f, a, b, rel_tol * (abs(total) + 1.0) / 512.0)
-            a = b
-        return -2j * z * total
-
     total = 0.0 + 0.0j
     a = 1.0
     # beyond k^t >= 2|z|^2 the tail is bounded by 2*K^(r-t+1)/(t-r-1)
     safe = max(2.0, (2.0 * abs(z2)) ** (1.0 / ft) * 1.5)
     while True:
         b = 2.0 * a
-        total += _simpson(f, a, b, rel_tol * (abs(total) + 1.0) / 512.0)
+        # panel errors add up across ~log2(range) dyadic panels; budget each
+        # one a 1/512 share so the end-to-end error stays below _REL_TOL
+        total += _simpson(f, a, b, _REL_TOL * (abs(total) + 1.0) / 512.0)
         a = b
         if a >= safe:
             bound = 2.0 * a ** (fr - ft + 1.0) / (ft - fr - 1.0)
-            if bound <= rel_tol * abs(total):
+            if bound <= _REL_TOL * abs(total):
                 break
     return -2j * z * total

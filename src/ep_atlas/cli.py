@@ -382,8 +382,9 @@ def _run_bcurve(cfg, emit):
 def _run_order(cfg, emit):
     model = _model_from(cfg, 1001)
     grid = _grid_from(cfg, 0.05, 1.0, 0.005)
-    if grid.size < 2:
-        raise ConfigError("order needs at least two grid points for the slope")
+    step = np.diff(grid)
+    if grid.size < 2 or not ((step > 0).all() or (step < 0).all()):
+        raise ConfigError("order needs a strictly monotonic grid of at least two points for the slope")
     phi = _get(cfg, "phi", 0.0, float)
     curve = order_parameter(model, grid, phi)
     meta = {"model": cfg.get("model", "picket"), "n": model.n, "phi_deg": phi, "lambda_c_ladder": repr(LADDER_CRITICAL)}

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import IllConditionedNormalizationError
 from .models import EffectiveModel, phase_factor
 from .secular import eigen_spectrum
-from .trajectories import _vertex
+from .trajectories import _grid, _vertex
 
 _PEAK_DESCENT = 0.25  # interior peak must account for this share of the curve's range
 
@@ -94,11 +94,11 @@ def find_peak(lambdas: np.ndarray, values: np.ndarray) -> BPeak | None:
 def b_curve(model: EffectiveModel, lam_values, phi: float = 0.0) -> BCurve:
     """B over a lambda grid at fixed phase (degrees), with peak detection.
 
-    Grid points that land too close to an exceptional point for stable
-    normalization are recorded in `flagged` and carry NaN; they are skipped
-    by the peak search.
+    Grid points too close to an exceptional point for stable normalization
+    are recorded in `flagged` and carry NaN; the peak search skips them.  A
+    NaN or infinite lambda raises InvalidCouplingError.
     """
-    lam = np.asarray(list(lam_values), dtype=float)
+    lam = _grid(lam_values)
     phase = phase_factor(phi)
     vals = np.empty(lam.size)
     flagged: list[int] = []

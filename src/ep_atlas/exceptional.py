@@ -38,6 +38,7 @@ from .models import EffectiveModel, build_picket_fence
 from .secular import _aberth, _separate
 
 _TOL = 5e-14  # Aberth stopping tolerance for the roots of R
+_POLISH_ROUNDS = 40  # Newton steps of _polish before it returns its last residual
 
 
 @dataclass(frozen=True)
@@ -89,10 +90,10 @@ def _r_logderiv(v2: np.ndarray):
     return logderiv
 
 
-def _polish(eps, v2, e, lam, rounds=40):
+def _polish(eps, v2, e, lam):
     """Coupled Newton on (S - i/Lambda, S'); returns (E, Lambda, step residual)."""
     res = np.inf
-    for _ in range(rounds):
+    for _ in range(_POLISH_ROUNDS):
         d = e - eps
         s = (v2 / d).sum()
         sp = -(v2 / d**2).sum()

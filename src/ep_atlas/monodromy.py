@@ -33,6 +33,8 @@ from .exceptional import expand_ep_set, find_eps, two_level_eps
 
 _MIN_OVERLAP = 0.99  # worst accepted bilinear overlap between consecutive samples
 _MAX_REFINEMENTS = 4  # sample doublings before ResolutionError
+_THETA_STEPS = 2048  # points of the coupling ray theta_of continues along
+_OMEGA_STEPS = 4096  # points of the coupling ray omega_comparison continues along
 
 
 @dataclass(frozen=True)
@@ -116,7 +118,7 @@ def _contour(center: complex, radius: float, windings: int, per_wind: int):
 def loop_ep(
     model: EffectiveModel,
     center: complex,
-    radius: float | None = None,
+    radius: float,
     *,
     windings: int = 1,
     samples: int = 512,
@@ -126,23 +128,15 @@ def loop_ep(
     The circle |Lambda - center| = radius is traversed |windings| times,
     clockwise for positive windings.  With a single exceptional point inside,
     one winding exchanges the coalescing pair with a sign twist; with none
-    inside the result is the identity.  Raises ContourError if the contour
-    passes within 5% of an exceptional point or encloses more than one, and
-    ResolutionError if even a refined sampling cannot keep consecutive
-    overlaps above threshold.
+    inside the result is the identity.  Raises ContourError if windings is
+    zero, the radius is not positive, or the contour passes within 5% of an
+    exceptional point or encloses more than one, and ResolutionError if even
+    a refined sampling cannot keep consecutive overlaps above threshold.
     """
     if windings == 0:
         raise ContourError("winding number must be nonzero")
     eps_all = expand_ep_set(find_eps(model))
     dist = np.abs(eps_all - center)
-    if radius is None:
-        if eps_all.size < 2:
-            raise ContourError("radius required when the model has a single exceptional pair")
-        near = float(np.min(dist))
-        others = dist[dist > near * (1 + 1e-9)]
-        if others.size == 0:
-            raise ContourError("cannot pick a radius: all exceptional points equidistant")
-        radius = 0.3 * float(others.min())
     radius = float(radius)
     if radius <= 0:
         raise ContourError("contour radius must be positive")
@@ -213,12 +207,12 @@ def _lambda_grid(lam: float, gap: float, n_steps: int):
     return np.concatenate([lin, geo])
 
 
-def theta_of(eps1: float, eps2: float, omega_deg: float, lam: float, phi: float = 0.0, *, n_steps: int = 2048) -> complex:
+def theta_of(eps1: float, eps2: float, omega_deg: float, lam: float, phi: float = 0.0) -> complex:
     """Complex mixing angle of the state anchored at the lower level.
 
-    theta is continued along the coupling ray from 0 (where it vanishes) to
-    lambda at fixed phase, tracking the eigenvalue branch that starts at
-    eps1.  tan(theta) is the component ratio of that state's eigenvector.
+    theta is continued over _THETA_STEPS points of the coupling ray from 0
+    (where it vanishes) to lambda at fixed phase, tracking the eigenvalue
+    branch that starts at eps1.  tan(theta) is the component ratio of that state's eigenvector.
     Raises ThetaSingularError if the ray runs into or too close to the
     coalescence, where the branch choice stops being well defined.
     """
@@ -227,7 +221,7 @@ def theta_of(eps1: float, eps2: float, omega_deg: float, lam: float, phi: float 
         raise ValueError("lambda must be nonnegative")
     if lam == 0 or c == 0 or s == 0:
         return 0j
-    path = _lambda_grid(lam, e2 - e1, n_steps) * phase_factor(phi)
+    path = _lambda_grid(lam, e2 - e1, _THETA_STEPS) * phase_factor(phi)
     return complex(theta_along(eps1, eps2, omega_deg, path)[-1])
 
 
@@ -288,12 +282,12 @@ def omega_comparison(
     *,
     lam_factor: float = 100.0,
     phi: float = 0.0,
-    n_steps: int = 4096,
 ) -> OmegaComparison:
     """Strong-coupling limit of tan(theta) on the principal branch.
 
     Follows the eigenvalue E = mean + w/2 whose square root starts at
-    +(eps2 - eps1), out to lambda = lam_factor * gap, and compares
+    +(eps2 - eps1), out to lambda = lam_factor * gap over _OMEGA_STEPS
+    points of the coupling ray, and compares
     tan(theta) with the channel prediction: tan(omega) above 45 degrees,
     -cot(omega) below.  The two predictions differ by the pi/2 monodromy
     step, which is why the comparison distinguishes the regimes sharply.
@@ -310,7 +304,7 @@ def omega_comparison(
     lam = lam_factor * gap
     w_prev = complex(gap)
     theta = cmath.pi / 2  # E(0) = eps2 means the vector starts aligned with the upper level
-    for lam_k in _lambda_grid(lam, gap, n_steps)[1:]:
+    for lam_k in _lambda_grid(lam, gap, _OMEGA_STEPS)[1:]:
         lam_c = lam_k * phase
         mean, root = _two_level_quadratic(e1, e2, c2w, lam_c)
         if abs(root - w_prev) > abs(-root - w_prev):

@@ -576,26 +576,14 @@ def _continue_batch(model: EffectiveModel, couplings: np.ndarray, seeds: np.ndar
 # ---------------------------------------------------------------------------
 # closed forms
 
-def two_level_closed_form(model_or_eps1, eps2=None, omega_deg=None, coupling=None):
-    """Exact pair of eigenvalues of the two-level model.
+def two_level_closed_form(eps1: float, eps2: float, omega_deg: float, coupling) -> tuple[complex, complex]:
+    """Exact pair of eigenvalues of the two-level model with channel angle omega_deg.
 
-    Call as two_level_closed_form(model, coupling=...) or with explicit
-    (eps1, eps2, omega_deg, coupling).  Returns (E1, E2) on the principal
-    square-root branch, which reproduces (eps1, eps2) at lambda = 0 when
-    eps1 < eps2.
+    Returns (E1, E2) on the principal square-root branch, which reproduces
+    (eps1, eps2) at lambda = 0 when eps1 < eps2.
     """
-    if isinstance(model_or_eps1, EffectiveModel):
-        m = model_or_eps1
-        if m.n != 2:
-            raise ValueError("closed form needs a two-level model")
-        e1, e2 = float(m.epsilons[0]), float(m.epsilons[1])
-        c2w = float(m.couplings[0] ** 2 - m.couplings[1] ** 2)  # cos(2w) for unit channel vectors
-    else:
-        e1 = float(model_or_eps1)
-        e2 = float(eps2)
-        w = np.radians(float(omega_deg))
-        c2w = float(np.cos(2 * w))
-    mean, root = _two_level_quadratic(e1, e2, c2w, _as_lambda(coupling))
+    c2w = float(np.cos(2 * np.radians(float(omega_deg))))
+    mean, root = _two_level_quadratic(float(eps1), float(eps2), c2w, _as_lambda(coupling))
     return mean - root / 2.0, mean + root / 2.0
 
 

@@ -25,12 +25,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TrajectoryAmbiguityError
+from .errors import InvalidCouplingError, TrajectoryAmbiguityError
 from .models import EffectiveModel, phase_factor
 from .secular import _BLOCK, _continue_batch, _nearest_gap, eigen_spectrum
 
 _MATCH_FACTOR = 0.45
 _MAX_BISECT = 24  # halvings of a rejected step before it counts as ambiguous
+_PROMINENCE = 1e-4  # least width prominence of a turning point
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,14 @@ class Trajectory:
 def _matched(prev: np.ndarray, new: np.ndarray):
     """Whether each row of new continues the same row of prev (one bool per row of a stack)."""
     return np.all(np.abs(new - prev) <= _MATCH_FACTOR * _nearest_gap(new) + 1e-15, axis=-1)
+
+
+def _grid(lam_values) -> np.ndarray:
+    """lam_values as floats, checked before any walk multiplies them by the phase."""
+    lam = np.asarray(list(lam_values), dtype=float)
+    if not np.isfinite(lam).all():
+        raise InvalidCouplingError("coupling grid must be finite")
+    return lam
 
 
 def _advance(model, prev_roots, c_from, c_to, depth):
@@ -92,11 +101,12 @@ def sweep(
     which is what a branch reconnection at an exceptional point requires.
     Grid points are solved in batches from secant-extrapolated seeds (see
     the module docstring); the rows agree with one warm solve per point up
-    to the iteration's stopping tolerance.
+    to the iteration's stopping tolerance.  A NaN or infinite lambda raises
+    InvalidCouplingError before any solve.
     """
     if policy not in ("raise", "sorted"):
         raise ValueError("policy must be 'raise' or 'sorted'")
-    lam = np.asarray(list(lam_values), dtype=float)
+    lam = _grid(lam_values)
     if lam.size == 0:
         raise ValueError("empty coupling grid")
     phase = phase_factor(phi)
@@ -198,20 +208,21 @@ def _vertex(x: np.ndarray, y: np.ndarray, i: int) -> float:
     return float(x[i] + off * (x[i + 1] - x[i - 1]) / 2.0)
 
 
-def turning_points(traj: Trajectory, *, prominence: float = 1e-4) -> list[TurningPoint]:
+def turning_points(traj: Trajectory) -> list[TurningPoint]:
     """Interior maxima of each state's width along the sweep.
 
     A trapped state's width grows, turns over near the transition, and
     decays; the turnover location is refined by a parabola through the peak
-    sample and its neighbors.  Only peaks with the requested prominence are
-    reported, so monotone branches contribute nothing.  The points come in
-    order of lam; lam values within 1e-12 (relative) of each other are ties,
-    ordered by state, so rounding noise cannot reorder a mirror pair.
+    sample and its neighbors.  Only peaks with a prominence of at least
+    _PROMINENCE are reported, so monotone branches contribute nothing.  The
+    points come in order of lam; lam values within 1e-12 (relative) of each
+    other are ties, ordered by state, so rounding noise cannot reorder a
+    mirror pair.
     """
     out: list[TurningPoint] = []
     g = traj.widths
     for k in range(traj.n_states):
-        for i in _find_peaks(g[:, k], prominence):
+        for i in _find_peaks(g[:, k], _PROMINENCE):
             out.append(TurningPoint(state=k, lam=_vertex(traj.lambdas, g[:, k], i), width=float(g[i, k])))
     if not out:
         return out
@@ -283,11 +294,13 @@ def order_parameter(model: EffectiveModel, lam_values, phi: float = 0.0) -> Orde
     Gamma_0/N an order parameter for it.  Each grid point is warm-started
     from the previous one, except where |lambda| more than doubles: a cold
     solve, seeded for the regime, costs less than a warm start across such
-    a jump.  Raises ValueError on fewer than two points (no slope).
+    a jump.  Raises InvalidCouplingError on a NaN or infinite lambda, and
+    ValueError unless the grid is strictly monotonic with two or more points.
     """
-    lam = np.asarray(list(lam_values), dtype=float)
-    if lam.size < 2:
-        raise ValueError("order parameter needs at least two grid points")
+    lam = _grid(lam_values)
+    step = np.diff(lam)
+    if lam.size < 2 or not ((step > 0).all() or (step < 0).all()):
+        raise ValueError("order parameter needs a strictly monotonic grid of at least two points")
     phase = phase_factor(phi)
     g0 = np.empty(lam.size)
     prev = None

@@ -110,6 +110,12 @@ def test_secular_integral_guards():
         secular_integral(10.0, 1, 2)
 
 
+def test_secular_integral_has_no_cutoff():
+    # the integral always runs to infinity; a finite ladder is solved by eigen_spectrum
+    with pytest.raises(TypeError):
+        secular_integral(1.0, 0, 2, cutoff=10.0)
+
+
 def test_secular_integral_scaling_flat_for_compensated():
     v1 = abs(secular_integral(1e2, 1, 4))
     v2 = abs(secular_integral(1e4, 1, 4))

@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from ep_atlas import build_perturbed_fence, build_power_law, build_spacing_ensemble, build_two_level, find_eps
 from ep_atlas.cli import main
 from ep_atlas.runio import file_digest
 
@@ -149,6 +151,7 @@ def test_runtime_needs_only_numpy_and_click(tmp_path):
         ("loop", "radius = -0.1"),
         ("loop", "radius = 0"),
         ("order", "lambda_start = 0.5\nlambda_stop = 0.5"),
+        ("order", "lambda_list = 0.5, 0.5"),
         ("bcurve", "lambda_list = nan"),
         ("sweep", "lambda_list = 0.1, nan"),
         ("sweep", "lambda_list = 0.1, inf, 0.3"),
@@ -160,6 +163,26 @@ def test_bad_config_value_exits_2(tmp_path, command, text):
     res = run(command, "--config", str(conf), "--n", "5", "--jobs", "1", "--out", str(tmp_path))
     assert res.exit_code == 2
     assert "error:" in res.output
+
+
+@pytest.mark.parametrize(
+    "text, build",
+    [
+        ("model = perturbed\namplitude = 0.2\nseed = 4", lambda: build_perturbed_fence(7, 0.2, 4)),
+        ("model = powerlaw\nr = 1\nt = 4", lambda: build_power_law(7, 1.0, 4.0)),
+        ("model = twolevel\neps1 = -0.5\neps2 = 1\nomega = 25", lambda: build_two_level(-0.5, 1.0, 25.0)),
+        ("model = ensemble\nkind = wigner\nseed = 2", lambda: build_spacing_ensemble(7, "wigner", 2)),
+    ],
+    ids=["perturbed", "powerlaw", "twolevel", "ensemble"],
+)
+def test_eps_builds_every_model_kind(tmp_path, text, build):
+    conf = tmp_path / "c.conf"
+    conf.write_text("experiment = eps\n%s\n" % text)
+    assert run("eps", "--config", str(conf), "--n", "7", "--format", "json", "--out", str(tmp_path)).exit_code == 0
+    cols = json.loads((tmp_path / "eps.json").read_text())["columns"]
+    rep = np.array(cols["representative"]) == 1
+    got = np.array(cols["re_lambda"])[rep] + 1j * np.array(cols["im_lambda"])[rep]
+    np.testing.assert_array_equal(got, [p.coupling for p in find_eps(build())])
 
 
 @pytest.mark.parametrize("given, missing", [("--r", "t"), ("--t", "r")])

@@ -81,6 +81,12 @@ def test_contour_guards():
         loop_ep(f, center=0.3716105483597324 + 0.0j, radius=0.25)
 
 
+def test_loop_needs_a_radius():
+    ep = two_level_eps(0.0, 1.0, 30.0)
+    with pytest.raises(TypeError):
+        loop_ep(build_two_level(0.0, 1.0, 30.0), complex(ep.coupling))
+
+
 def test_theta_ray_limits():
     assert theta_of(0.0, 1.0, 30.0, 0.0) == 0j
     th = theta_of(0.0, 1.0, 30.0, 100.0)

@@ -20,6 +20,7 @@ from ep_atlas import (
     dense_oracle,
     eigen_spectrum,
     secular_eval,
+    sweep,
     two_level_closed_form,
     two_level_eps,
 )
@@ -50,6 +51,39 @@ def test_closed_form_matches_frozen_reference():
         coupling=CouplingParameter(TWO_LEVEL_CASE["lam"], TWO_LEVEL_CASE["phi"]),
     )
     np.testing.assert_allclose(sorted(got, key=lambda z: z.real), TWO_LEVEL_REF, atol=1e-14)
+
+
+def test_closed_form_takes_no_model():
+    # a model's channel vector need not have unit weight, so the closed form takes the angle only
+    with pytest.raises(TypeError):
+        two_level_closed_form(build_two_level(0.0, 1.0, 30.0), coupling=0.3 + 0.1j)
+
+
+@pytest.mark.parametrize("lam", [0.3 + 0.1j, 0.8, 2.5 - 1.0j])
+def test_single_coupled_level_is_solved_in_closed_form(lam):
+    # channel vector (1, 0): level 0 alone couples, at eps_0 - i*Lambda*v_0^2, with no iteration
+    m = build_two_level(0.0, 1.0, 0.0)
+    np.testing.assert_array_equal(m.couplings, [1.0, 0.0])
+    ref = np.linalg.eigvals(np.diag(m.epsilons) - 1j * lam * np.outer(m.couplings, m.couplings))
+    cold = eigen_spectrum(m, lam)
+    warm = eigen_spectrum(m, lam, warm_start=cold.energies[::-1] + 0.01)
+    for spec in (cold, warm):
+        assert spec.iterations == 0
+        assert_complex_sets_close(spec.energies, ref, 1e-14)
+
+
+def test_single_coupled_level_sweep_matches_lapack():
+    m = build_two_level(0.0, 1.0, 0.0)
+    traj = sweep(m, np.linspace(0.05, 3.0, 60), 30.0)
+    h = np.diag(m.epsilons)
+    vv = np.outer(m.couplings, m.couplings)
+    for row, lam in zip(traj.energies, traj.couplings):
+        assert_complex_sets_close(row, np.linalg.eigvals(h - 1j * lam * vv), 1e-12)
+
+
+def test_warm_start_of_the_wrong_length_is_rejected():
+    with pytest.raises(ValueError):
+        eigen_spectrum(build_picket_fence(5), 0.5, warm_start=np.zeros(4, dtype=complex))
 
 
 def test_trace_is_conserved():

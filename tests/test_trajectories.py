@@ -10,6 +10,7 @@ from ep_atlas import (
     CouplingParameter,
     InvalidCouplingError,
     TrajectoryAmbiguityError,
+    b_curve,
     build_picket_fence,
     build_perturbed_fence,
     build_power_law,
@@ -122,9 +123,10 @@ def test_order_parameter_transition():
     assert curve.gamma0_over_n.shape == lam.shape
 
 
-@pytest.mark.parametrize("lam", [[], [0.5]])
+@pytest.mark.parametrize("lam", [[], [0.5], [0.5, 0.5], [0.3, 0.5, 0.3]])
 def test_order_parameter_needs_two_points(lam):
-    # the slope is undefined on fewer than two grid points
+    # the slope is undefined on fewer than two grid points, and np.gradient
+    # divides by each step, so a repeated or revisited point gives NaN slopes
     with pytest.raises(ValueError):
         order_parameter(build_picket_fence(11), lam)
 
@@ -225,6 +227,14 @@ def test_sweep_rejects_a_non_finite_coupling(grid, bad):
     # a point that no iteration can converge on must raise, not copy its neighbour's row
     with pytest.raises(InvalidCouplingError):
         sweep(build_picket_fence(15), [bad if x is None else x for x in grid])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("walk", [b_curve, order_parameter])
+def test_grid_walks_reject_a_non_finite_coupling(walk, bad):
+    # the grid is checked before it meets the phase, so no numpy warning comes first
+    with pytest.raises(InvalidCouplingError):
+        walk(build_picket_fence(7), [0.1, 0.2, bad, 0.4])
 
 
 def test_batched_sweep_memory_is_bounded():
