@@ -18,7 +18,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import math
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -43,7 +42,7 @@ from .models import (
 )
 from .monodromy import _contour, loop_ep, omega_comparison, theta_along, theta_of
 from .runio import format_value, parse_config, resolve_out, write_csv, write_json, write_manifest
-from .secular import eigen_spectrum  # noqa: F401  (bench/tracer.py wraps it here)
+from .secular import _usable_cores, eigen_spectrum  # noqa: F401  (bench/tracer.py wraps eigen_spectrum here)
 from .trajectories import order_parameter, sweep, turning_points
 
 _CHUNK = 64  # fixed fan-out unit; keeps outputs independent of --jobs
@@ -136,11 +135,13 @@ def _model_from(cfg: dict, default_n: int) -> EffectiveModel:
             _get(cfg, "t", 2.0, float),
         )
     if kind == "twolevel":
-        return build_two_level(
+        model = build_two_level(
             _get(cfg, "eps1", 0.0, float),
             _get(cfg, "eps2", 1.0, float),
             _get(cfg, "omega", 30.0, float),
         )
+        cfg["n"] = _fmt(model.n)  # the size that applied, whatever n was given
+        return model
     if kind == "ensemble":
         return build_spacing_ensemble(
             _get(cfg, "n", default_n, int),
@@ -151,7 +152,7 @@ def _model_from(cfg: dict, default_n: int) -> EffectiveModel:
 
 
 def _jobs(cfg: dict) -> int:
-    j = _get(cfg, "jobs", os.cpu_count() or 1, int)
+    j = _get(cfg, "jobs", _usable_cores(), int)
     if j < 1:
         raise ConfigError("jobs must be >= 1")
     return j

@@ -18,6 +18,8 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError
 
 
@@ -46,7 +48,7 @@ def parse_config(path, allowed: set[str] | None = None) -> dict[str, str]:
     return out
 
 
-_ROWS = 4096  # rows converted to Python scalars per batch, so memory does not grow with the table
+_ROWS = 512  # rows converted and formatted per batch, so memory does not grow with the table
 
 
 def format_value(x) -> str:
@@ -68,7 +70,8 @@ def write_csv(path, meta: dict, columns: dict) -> Path:
     """CSV with a '#'-prefixed metadata block, then header and rows.
 
     columns maps name -> sequence or numpy array; all must have equal length.
-    Rows are converted and formatted _ROWS at a time as they are written.
+    Rows are converted and formatted _ROWS at a time, one column at a time,
+    and each batch of rows is written at once.
     """
     names = list(columns.keys())
     cols = [columns[k] for k in names]
@@ -82,9 +85,27 @@ def write_csv(path, meta: dict, columns: dict) -> Path:
             fh.write("# %s: %s\n" % (k, meta[k]))
         fh.write(",".join(names) + "\n")
         for a in range(0, n, _ROWS):
-            for row in zip(*(_cells(c[a : a + _ROWS]) for c in cols)):
-                fh.write(",".join(format_value(v) for v in row) + "\n")
+            texts = [_column_text(c[a : a + _ROWS]) for c in cols]
+            fh.write("".join(",".join(row) + "\n" for row in zip(*texts)))
     return p
+
+
+def _column_text(column) -> list[str]:
+    """format_value of every cell, formatted once per numpy column by dtype kind."""
+    if not isinstance(column, np.ndarray):
+        return [format_value(v) for v in column]
+    kind = column.dtype.kind
+    if kind == "f":
+        return list(map(repr, column.tolist()))
+    if kind in ("i", "u"):
+        return list(map(str, column.tolist()))
+    if kind == "b":
+        return ["1" if x else "0" for x in column.tolist()]
+    if kind == "c":
+        sign = np.where(column.imag >= 0, "+", "-").tolist()
+        im = np.abs(column.imag).tolist()
+        return [repr(a) + s + repr(b) + "j" for a, s, b in zip(column.real.tolist(), sign, im)]
+    return [format_value(v) for v in _cells(column)]
 
 
 def write_json(path, meta: dict, columns: dict) -> Path:

@@ -23,7 +23,14 @@ converged, in row blocks of at most _BLOCK complex entries, so temporaries
 are O(N*B) rather than N x N.  One call can also carry a batch of
 independent root sets over the same poles (for a sweep, one per coupling):
 their rows share blocks, which spreads the per-call cost, while each set
-iterates, converges and stops exactly as it would alone.  An iterate stops
+iterates, converges and stops exactly as it would alone.  The row blocks of
+each pass are split across the usable cores (_over_shares): one contiguous
+run of whole blocks per thread, the calling thread taking the first.  No
+block reads what another writes, since the iterates move only after the
+pass, and each thread enters the caller's np.errstate, which numpy keeps
+per thread.  The blocks shrink with the thread count, so the temporaries of
+all threads together stay O(N*B), and every root, iteration count and
+output byte is the same on any number of cores.  An iterate stops
 when its relative step falls below tol, or when rounding keeps it above:
 its step stops shrinking after falling below 1e-12, or lies under the
 rounding bound u*sum|v^2 r|/|S'| of the secular sum.
@@ -56,6 +63,9 @@ is built only when Spectrum.vectors is first read.
 from __future__ import annotations
 
 import cmath
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable
@@ -117,6 +127,79 @@ def secular_eval(model: EffectiveModel, energy, coupling) -> np.ndarray | comple
 _BLOCK = 1 << 16  # complex entries per row block (1 MiB): temporaries are O(N*B), never N x N
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on (the CPU count where affinity is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+_THREADS = _usable_cores()  # shares per blocked pass
+_pool: ThreadPoolExecutor | None = None  # runs every share but the caller's; started on the first split
+_pool_lock = threading.Lock()
+
+
+def _drop_pool() -> None:
+    # joined before every fork: a forked child would inherit the pool without its threads
+    global _pool
+    with _pool_lock:
+        if _pool is not None:
+            _pool.shutdown()
+            _pool = None
+
+
+os.register_at_fork(before=_drop_pool)
+
+
+def _executor() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_THREADS - 1, thread_name_prefix="ep-atlas-share")
+        return _pool
+
+
+def _over_shares(fn: Callable[[list], None], nrows: int, width: int) -> None:
+    """Run fn(blocks) over the row blocks [lo, hi) of range(nrows), split into one share per thread.
+
+    width is the number of entries in a row.  Work that fits in one block of
+    _BLOCK entries runs inline as that one block.  Otherwise the blocks hold
+    _BLOCK // (_THREADS * width) rows, so the temporaries of all threads
+    together stay O(width * _BLOCK), and each of up to _THREADS shares is one
+    contiguous run of whole blocks: the calling thread takes the first, the
+    pool the rest.  fn loops over the (lo, hi) pairs of its share itself:
+    a block's temporaries then live until the next block's are made, which
+    keeps malloc from returning their pages to the system and faulting them
+    in again after every block.  Each share runs under the caller's
+    np.errstate, which numpy keeps per thread.  fn must write only to its
+    own rows and read nothing another block writes; each row's arithmetic
+    then does not depend on the split.
+    """
+    threads = _THREADS if nrows * width > _BLOCK else 1
+    rows = max(1, _BLOCK // (threads * width))
+    blocks = [(lo, min(lo + rows, nrows)) for lo in range(0, nrows, rows)]
+    shares = min(threads, len(blocks))
+    if shares <= 1:
+        fn(blocks)
+        return
+    runs = [blocks[k * len(blocks) // shares : (k + 1) * len(blocks) // shares] for k in range(shares)]
+    errs = np.geterr()
+
+    def share(blocks):
+        with np.errstate(**errs):
+            fn(blocks)
+
+    pool = _executor()
+    futures = [pool.submit(share, blocks) for blocks in runs[1:]]
+    try:
+        fn(runs[0])
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
+
+
 def _nearest_gap(z: np.ndarray) -> np.ndarray:
     """Distance from each point to its nearest other one in its row (inf if alone).
 
@@ -125,15 +208,18 @@ def _nearest_gap(z: np.ndarray) -> np.ndarray:
     zm = np.atleast_2d(z)
     n = zm.shape[1]
     flat = zm.reshape(-1)
-    rows = max(1, _BLOCK // n)
     near = np.empty(flat.size)
-    for b0 in range(0, flat.size, rows):
-        ib = np.arange(b0, min(b0 + rows, flat.size))
-        gap = zm[ib // n]
-        np.subtract(flat[ib, None], gap, out=gap)
-        gap = np.abs(gap)
-        gap[np.arange(ib.size), ib % n] = np.inf  # a point's distance to itself
-        near[ib] = gap.min(axis=1)
+
+    def run(blocks):
+        for lo, hi in blocks:
+            ib = np.arange(lo, hi)
+            gap = zm[ib // n]
+            np.subtract(flat[ib, None], gap, out=gap)
+            gap = np.abs(gap)
+            gap[np.arange(ib.size), ib % n] = np.inf  # a point's distance to itself
+            near[lo:hi] = gap.min(axis=1)
+
+    _over_shares(run, flat.size, n)
     return near.reshape(np.shape(z))
 
 
@@ -163,7 +249,14 @@ def _aberth(eps, logderiv, z0, maxiter=500, tol=5e-14, floor=None):
     _BLOCK entries that rows of several members may share; the repulsion
     term of an iterate sums over all iterates of its own member, frozen ones
     included.  Reductions are elementwise products and row sums, not BLAS,
-    so concurrent worker processes do not contend for BLAS threads.
+    so concurrent worker processes do not contend for BLAS threads.  The
+    blocks of one pass are shared out over _THREADS threads by _over_shares,
+    each thread under this call's np.errstate, with blocks of
+    _BLOCK // (_THREADS * max(n, eps.size)) rows so that all threads hold
+    O(N*_BLOCK) temporaries together; logderiv must be safe to call from
+    several threads at once.  A block reads z and writes only its own
+    corrections, and z moves only after the pass, so the split changes no
+    arithmetic.
 
     An iterate converges when its relative step falls below tol, or when
     rounding keeps it from getting there: when its step stops shrinking
@@ -184,7 +277,7 @@ def _aberth(eps, logderiv, z0, maxiter=500, tol=5e-14, floor=None):
     nb, n = zm.shape
     z = zm.reshape(-1)
     member, pos = np.divmod(np.arange(z.size), n)
-    rows = max(1, _BLOCK // max(n, eps.size))
+    width = max(n, eps.size)
     eps = eps.astype(complex)  # complex operands spare numpy a casting pass per block
     active = np.ones(z.size, dtype=bool)
     its = np.zeros(nb, dtype=int)
@@ -199,20 +292,24 @@ def _aberth(eps, logderiv, z0, maxiter=500, tol=5e-14, floor=None):
             idx = np.flatnonzero(active)
             its[member[idx]] = it + 1
             wa = np.empty(idx.size, dtype=complex)
-            for b0 in range(0, idx.size, rows):
-                ib = idx[b0 : b0 + rows]
-                mb = member[ib]
-                zb = z[ib]
-                zz = zm[mb]
-                np.subtract(zb[:, None], zz, out=zz)
-                zz[np.arange(ib.size), pos[ib]] = np.inf
-                np.reciprocal(zz, out=zz)
-                repel = zz.sum(axis=1)
-                del zz  # one block temporary at a time: the callback makes its own
-                r = zb[:, None] - eps[None, :]
-                np.reciprocal(r, out=r)
-                newt = 1.0 / logderiv(r, mb)
-                wa[b0 : b0 + rows] = newt / (1.0 - newt * repel)
+
+            def run(blocks):
+                for lo, hi in blocks:
+                    ib = idx[lo:hi]
+                    mb = member[ib]
+                    zb = z[ib]
+                    zz = zm[mb]
+                    np.subtract(zb[:, None], zz, out=zz)
+                    zz[np.arange(ib.size), pos[ib]] = np.inf
+                    np.reciprocal(zz, out=zz)
+                    repel = zz.sum(axis=1)
+                    del zz  # one block temporary at a time: the callback makes its own
+                    r = zb[:, None] - eps[None, :]
+                    np.reciprocal(r, out=r)
+                    newt = 1.0 / logderiv(r, mb)
+                    wa[lo:hi] = newt / (1.0 - newt * repel)
+
+            _over_shares(run, idx.size, width)
             wa[~np.isfinite(wa)] = 0.0
             za = z[idx]
             sa = np.abs(wa) / (1.0 + np.abs(za))
@@ -340,18 +437,21 @@ def _raw_overlaps(e: np.ndarray, eps: np.ndarray, v2: np.ndarray) -> tuple[np.nd
     r = 1/(e - eps) is formed one row block at a time (one row per state, at
     most _BLOCK entries), so memory stays O(N*B).
     """
-    rows = max(1, _BLOCK // eps.size)
     eps = eps.astype(complex)
     v2c = v2.astype(complex)
     bil = np.empty(e.size, dtype=complex)
     herm = np.empty(e.size)
-    for b0 in range(0, e.size, rows):
-        r = e[b0 : b0 + rows, None] - eps[None, :]
-        np.reciprocal(r, out=r)
-        herm[b0 : b0 + rows] = ((r.real**2 + r.imag**2) * v2).sum(axis=1)
-        r *= r
-        r *= v2c
-        bil[b0 : b0 + rows] = r.sum(axis=1)
+
+    def run(blocks):
+        for lo, hi in blocks:
+            r = e[lo:hi, None] - eps[None, :]
+            np.reciprocal(r, out=r)
+            herm[lo:hi] = ((r.real**2 + r.imag**2) * v2).sum(axis=1)
+            r *= r
+            r *= v2c
+            bil[lo:hi] = r.sum(axis=1)
+
+    _over_shares(run, e.size, eps.size)
     return bil, herm
 
 

@@ -102,6 +102,30 @@ def test_worker_count_does_not_change_bytes(tmp_path):
     assert (a / "bcurve.csv").read_bytes() == (b / "bcurve.csv").read_bytes()
 
 
+def test_worker_processes_start_without_the_parent_threads(tmp_path):
+    # the engine's thread pool is running when bcurve forks its --jobs workers: it must be
+    # shut down before each fork, the run must finish with the one-process bytes, and no
+    # worker thread may print a numpy warning
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = (
+        "import multiprocessing, sys; from ep_atlas import secular, build_picket_fence, eigen_spectrum; "
+        "from ep_atlas.cli import main; "
+        "secular._THREADS = 2; eigen_spectrum(build_picket_fence(1001), 0.3); assert secular._pool is not None; "
+        "main(sys.argv[1:], standalone_mode=False); "
+        "assert secular._pool is None or multiprocessing.get_start_method() != 'fork'"
+    )
+    # three 64-point chunks at N=301, where every solve splits its row blocks
+    args = ["bcurve", "--n", "301", "--lambda-start", "0.05", "--lambda-stop", "0.69", "--lambda-step", "0.005"]
+    r = subprocess.run(
+        [sys.executable, "-c", child, *args, "--jobs", "2", "--out", str(tmp_path / "2")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert r.returncode == 0 and r.stderr == "", r.stderr
+    assert run(*args, "--jobs", "1", "--out", str(tmp_path / "1")).exit_code == 0
+    assert (tmp_path / "1" / "bcurve.csv").read_bytes() == (tmp_path / "2" / "bcurve.csv").read_bytes()
+
+
 def test_command_echoes_written_paths(tmp_path):
     out = tmp_path / "o"
     res = run("eps", "--n", "4", "--out", str(out))
@@ -179,7 +203,10 @@ def test_eps_builds_every_model_kind(tmp_path, text, build):
     conf = tmp_path / "c.conf"
     conf.write_text("experiment = eps\n%s\n" % text)
     assert run("eps", "--config", str(conf), "--n", "7", "--format", "json", "--out", str(tmp_path)).exit_code == 0
-    cols = json.loads((tmp_path / "eps.json").read_text())["columns"]
+    doc = json.loads((tmp_path / "eps.json").read_text())
+    assert doc["meta"]["n"] == build().n
+    assert json.loads((tmp_path / "eps_manifest.json").read_text())["config"]["n"] == str(build().n)  # 2 for twolevel
+    cols = doc["columns"]
     rep = np.array(cols["representative"]) == 1
     got = np.array(cols["re_lambda"])[rep] + 1j * np.array(cols["im_lambda"])[rep]
     np.testing.assert_array_equal(got, [p.coupling for p in find_eps(build())])

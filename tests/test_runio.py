@@ -57,13 +57,26 @@ def test_format_value_rules():
 
 
 def test_array_columns_write_like_lists(tmp_path, monkeypatch):
-    arrays = {"x": np.array([0.5, float("nan"), -0.0]), "k": np.arange(3), "z": np.array([1.5 - 2.5j, 0j, 1j])}
+    nan, inf = float("nan"), float("inf")
+    arrays = {
+        "x": np.array([0.5, nan, -0.0, inf]),
+        "k": np.arange(4),
+        "z": np.array([1.5 - 2.5j, 0j, 1j, complex(-0.0, -0.0)]),
+        "w": np.array([complex(1, nan), complex(nan, -0.0), complex(-inf, inf), complex(2, -inf)]),
+        "b": np.array([True, False, True, False]),
+        "i": np.array([-3, 0, 2**40, 7], dtype=np.int64),
+    }
     lists = {k: [v.item() for v in a] for k, a in arrays.items()}
     for write, ext in ((write_csv, "csv"), (write_json, "json")):
         a = write(tmp_path / ("a." + ext), {"m": 1}, arrays)
         b = write(tmp_path / ("b." + ext), {"m": 1}, lists)
         assert a.read_bytes() == b.read_bytes()
-    assert (tmp_path / "a.csv").read_text().splitlines()[2] == "0.5,0,1.5-2.5j"
+    assert (tmp_path / "a.csv").read_text().splitlines()[2:] == [
+        "0.5,0,1.5-2.5j,1.0-nanj,1,-3",
+        "nan,1,0.0+0.0j,nan+0.0j,0,0",
+        "-0.0,2,0.0+1.0j,-inf+infj,1,1099511627776",
+        "inf,3,-0.0+0.0j,2.0-infj,0,7",
+    ]
     monkeypatch.setattr(runio, "_ROWS", 2)  # rows split across batches
     assert write_csv(tmp_path / "c.csv", {"m": 1}, arrays).read_bytes() == (tmp_path / "a.csv").read_bytes()
 

@@ -1,5 +1,6 @@
 """Secular-equation spectra against closed forms and a high-precision oracle."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,7 @@ from ep_atlas import (
     two_level_closed_form,
     two_level_eps,
 )
-from ep_atlas import secular
+from ep_atlas import exceptional, secular
 from ep_atlas.trajectories import _matched
 from helpers import assert_complex_sets_close
 
@@ -291,6 +292,45 @@ def test_row_blocks_do_not_change_results(monkeypatch):
     np.testing.assert_array_equal(split.energies, whole.energies)
     assert split.iterations == whole.iterations
     assert [p.coupling for p in find_eps(m)] == eps_whole
+
+
+def _split_run(monkeypatch, threads):
+    # a cold and a warm N=1001 solve with vectors, and an N=301 EP search with its iteration count
+    monkeypatch.setattr(secular, "_THREADS", threads)
+    m = build_perturbed_fence(1001, 0.1, 3)
+    cold = eigen_spectrum(m, CouplingParameter(0.3, 10.0))
+    warm = eigen_spectrum(m, CouplingParameter(0.32, 10.0), warm_start=cold.energies, compute_vectors=True)
+    its = []
+
+    def spy(*args, **kw):
+        out = secular._aberth(*args, **kw)
+        its.append(out[1])
+        return out
+
+    monkeypatch.setattr(exceptional, "_aberth", spy)
+    eps = find_eps(build_picket_fence(301))
+    return (
+        cold.energies, cold.iterations, warm.energies, warm.iterations, warm.hermitian_norms, warm.condition,
+        np.array([p.coupling for p in eps]), np.array([p.energy for p in eps]), its,
+    )
+
+
+def test_thread_shares_do_not_change_results(monkeypatch):
+    # each row keeps its arithmetic whatever the split: one thread, two, and more threads
+    # than cores with frequent switches, where a lost or misplaced row would show
+    secular._drop_pool()
+    ref = _split_run(monkeypatch, 1)
+    assert secular._pool is None
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        runs = {threads: _split_run(monkeypatch, threads) for threads in (2, 3)}
+    finally:
+        sys.setswitchinterval(interval)
+    for threads, got in runs.items():
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b), threads
+    assert secular._pool is not None  # the split really ran in the pool
 
 
 @pytest.mark.parametrize(
