@@ -16,6 +16,9 @@ Positive winding numbers traverse the contour clockwise,
 Lambda(t) = center + radius * exp(-2j*pi*t): one clockwise winding steps the
 two-level mixing angle theta by a quarter period pi/2 (downward in the sign
 convention of _tan_theta), so four windings restore the angle mod 2*pi.
+
+theta_of and omega_comparison work on the real coupling ray only;
+theta_along continues the angle along any other path.
 """
 
 from __future__ import annotations
@@ -27,14 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContourError, ResolutionError, ThetaSingularError
-from .models import EffectiveModel, build_two_level, phase_factor
+from .models import EffectiveModel, build_two_level
 from .secular import _two_level_quadratic, eigen_spectrum
 from .exceptional import expand_ep_set, find_eps, two_level_eps
 
 _MIN_OVERLAP = 0.99  # worst accepted bilinear overlap between consecutive samples
 _MAX_REFINEMENTS = 4  # sample doublings before ResolutionError
 _THETA_STEPS = 2048  # points of the coupling ray theta_of continues along
-_OMEGA_STEPS = 4096  # points of the coupling ray omega_comparison continues along
 
 
 @dataclass(frozen=True)
@@ -129,12 +131,18 @@ def loop_ep(
     clockwise for positive windings.  With a single exceptional point inside,
     one winding exchanges the coalescing pair with a sign twist; with none
     inside the result is the identity.  Raises ContourError if windings is
-    zero, the radius is not positive, or the contour passes within 5% of an
-    exceptional point or encloses more than one, and ResolutionError if even
-    a refined sampling cannot keep consecutive overlaps above threshold.
+    zero or not an integer, samples is below 3 (a triangle is the smallest
+    contour that encloses a point), the radius is not positive, or the
+    contour passes within 5% of an exceptional point or encloses more than
+    one, and ResolutionError if even a refined sampling cannot keep
+    consecutive overlaps above threshold.
     """
+    if windings != int(windings):
+        raise ContourError("winding number must be an integer, got %r" % (windings,))
     if windings == 0:
         raise ContourError("winding number must be nonzero")
+    if samples < 3:
+        raise ContourError("need at least 3 samples per winding, got %r" % (samples,))
     eps_all = expand_ep_set(find_eps(model))
     dist = np.abs(eps_all - center)
     radius = float(radius)
@@ -207,21 +215,26 @@ def _lambda_grid(lam: float, gap: float, n_steps: int):
     return np.concatenate([lin, geo])
 
 
-def theta_of(eps1: float, eps2: float, omega_deg: float, lam: float, phi: float = 0.0) -> complex:
-    """Complex mixing angle of the state anchored at the lower level.
+def theta_of(eps1: float, eps2: float, omega_deg: float, lam: float) -> complex:
+    """Complex mixing angle of the state anchored at the lower level, on the real ray.
 
-    theta is continued over _THETA_STEPS points of the coupling ray from 0
-    (where it vanishes) to lambda at fixed phase, tracking the eigenvalue
-    branch that starts at eps1.  tan(theta) is the component ratio of that state's eigenvector.
-    Raises ThetaSingularError if the ray runs into or too close to the
-    coalescence, where the branch choice stops being well defined.
+    theta is continued over _THETA_STEPS points of the real coupling ray from
+    0 (where it vanishes) to lambda, tracking the eigenvalue branch that
+    starts at eps1.  tan(theta) is the component ratio of that state's
+    eigenvector.  Raises ThetaSingularError if the ray runs into or too close
+    to the coalescence, where the branch choice stops being well defined: at
+    omega = 45 degrees the ray meets it at lambda = gap, so every lambda from
+    there on is rejected.  For other coupling paths use theta_along.
     """
     e1, e2, c, s = _two_level_arrays(eps1, eps2, omega_deg)
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     if lam == 0 or c == 0 or s == 0:
         return 0j
-    path = _lambda_grid(lam, e2 - e1, _THETA_STEPS) * phase_factor(phi)
+    gap = e2 - e1
+    if abs(math.degrees(math.atan2(s, c)) - 45.0) < 1e-9 and lam >= gap:
+        raise ThetaSingularError("omega = 45 degrees: the ray meets the coalescence at lambda = gap")
+    path = _lambda_grid(lam, gap, _THETA_STEPS)
     return complex(theta_along(eps1, eps2, omega_deg, path)[-1])
 
 
@@ -281,16 +294,18 @@ def omega_comparison(
     omega_deg: float,
     *,
     lam_factor: float = 100.0,
-    phi: float = 0.0,
 ) -> OmegaComparison:
-    """Strong-coupling limit of tan(theta) on the principal branch.
+    """Strong-coupling limit of tan(theta) on the principal branch of the real ray.
 
-    Follows the eigenvalue E = mean + w/2 whose square root starts at
-    +(eps2 - eps1), out to lambda = lam_factor * gap over _OMEGA_STEPS
-    points of the coupling ray, and compares
-    tan(theta) with the channel prediction: tan(omega) above 45 degrees,
-    -cot(omega) below.  The two predictions differ by the pi/2 monodromy
-    step, which is why the comparison distinguishes the regimes sharply.
+    Reads E = mean + w/2, the eigenvalue whose square root w starts at
+    +(eps2 - eps1), at lambda = lam_factor * gap and compares tan(theta) with
+    the channel prediction: tan(omega) above 45 degrees, -cot(omega) below.
+    The two predictions differ by the pi/2 monodromy step, which is why the
+    comparison distinguishes the regimes sharply.  Im w^2 =
+    2*lambda*gap*cos(2*omega) keeps one sign along the real ray, so the
+    principal root is the continuation of +gap, and tan discards the
+    multiples of pi a continued theta would add.  theta_along covers other
+    paths.
     """
     e1, e2, c, s = _two_level_arrays(eps1, eps2, omega_deg)
     if c == 0 or s == 0:
@@ -298,23 +313,9 @@ def omega_comparison(
     w_eff = math.degrees(math.atan2(s, c))
     if abs(w_eff - 45.0) < 1e-9:
         raise ThetaSingularError("omega = 45 degrees sits on the exceptional ray; limit undefined")
-    phase = phase_factor(phi)
-    gap = e2 - e1
-    c2w = c * c - s * s
-    lam = lam_factor * gap
-    w_prev = complex(gap)
-    theta = cmath.pi / 2  # E(0) = eps2 means the vector starts aligned with the upper level
-    for lam_k in _lambda_grid(lam, gap, _OMEGA_STEPS)[1:]:
-        lam_c = lam_k * phase
-        mean, root = _two_level_quadratic(e1, e2, c2w, lam_c)
-        if abs(root - w_prev) > abs(-root - w_prev):
-            root = -root
-        if abs(root) < 1e-12 * (gap * gap + abs(lam_c) ** 2) ** 0.5:
-            raise ThetaSingularError("principal branch runs into the coalescence point")
-        e_now = mean + root / 2.0
-        theta = _atan_near(_tan_theta(e_now, e1, lam_c, c, s), theta)
-        w_prev = root
-    tth = cmath.tan(theta)
+    lam = lam_factor * (e2 - e1)
+    mean, root = _two_level_quadratic(e1, e2, c * c - s * s, lam)
+    tth = _tan_theta(mean + root / 2.0, e1, lam, c, s)
     limit = math.copysign(abs(tth), tth.real)  # residual finite-lambda part is imaginary, modulus converges fastest
     if w_eff > 45.0:
         predicted, label = math.tan(math.radians(w_eff)), "tan(omega)"

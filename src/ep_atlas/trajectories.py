@@ -295,12 +295,12 @@ def order_parameter(model: EffectiveModel, lam_values, phi: float = 0.0) -> Orde
     from the previous one, except where |lambda| more than doubles: a cold
     solve, seeded for the regime, costs less than a warm start across such
     a jump.  Raises InvalidCouplingError on a NaN or infinite lambda, and
-    ValueError unless the grid is strictly monotonic with two or more points.
+    unless the grid is strictly monotonic with two or more points.
     """
     lam = _grid(lam_values)
     step = np.diff(lam)
     if lam.size < 2 or not ((step > 0).all() or (step < 0).all()):
-        raise ValueError("order parameter needs a strictly monotonic grid of at least two points")
+        raise InvalidCouplingError("order parameter needs a strictly monotonic grid of at least two points")
     phase = phase_factor(phi)
     g0 = np.empty(lam.size)
     prev = None

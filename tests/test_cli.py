@@ -171,6 +171,9 @@ def test_runtime_needs_only_numpy_and_click(tmp_path):
         ("loop", "radius = abc"),
         ("eps", "amplitude = abc"),
         ("loop", "samples = 0"),
+        ("loop", "samples = 1"),
+        ("loop", "samples = 2"),
+        ("loop", "windings = 0.5"),
         ("loop", "windings = 0"),
         ("loop", "radius = -0.1"),
         ("loop", "radius = 0"),

@@ -103,6 +103,10 @@ def test_decoupled_level_reduces_count():
     assert len(reps) == (5 - 1) - 1
 
 
+def test_one_coupled_level_has_no_exceptional_point():
+    assert find_eps(build_two_level(0.0, 1.0, 0.0)) == []
+
+
 def test_spectrum_coalesces_at_representative():
     # at the exceptional coupling two eigenvalues agree to the defective-pair limit
     reps = find_eps(build_picket_fence(4))

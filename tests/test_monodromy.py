@@ -13,6 +13,7 @@ from ep_atlas import (
     find_eps,
     loop_ep,
     omega_comparison,
+    sweep,
     theta_along,
     theta_of,
     two_level_eps,
@@ -130,3 +131,54 @@ def test_strong_coupling_angle_generic_channels():
         comp = omega_comparison(0.0, 1.0, w)
         rel = comp.deviation / abs(comp.predicted)
         assert rel < 1e-4, "omega=%g relative deviation %g" % (w, rel)
+
+
+@pytest.mark.parametrize("levels", [(0.0, 1.0), (1.0, 0.0)])
+@pytest.mark.parametrize("lam_factor", [2.0, 100.0])
+@pytest.mark.parametrize("w", [20.0, 44.0, 46.0, 75.0])
+def test_strong_coupling_angle_matches_a_sweep(levels, lam_factor, w):
+    # reference: continue the state that starts at the upper level along the real ray
+    # with sweep, then read tan(theta) = x_upper / x_lower off H = diag(eps) - i*lam*v v^T;
+    # the ray starts one step above 0, since a sweep warm-started from the bare levels stays there
+    eps1, eps2 = levels
+    m = build_two_level(eps1, eps2, w)
+    lam = lam_factor * abs(eps2 - eps1)
+    traj = sweep(m, np.linspace(0.0, lam, 2001)[1:])
+    k = int(np.argmin(np.abs(traj.energies[0] - max(eps1, eps2))))
+    e = traj.energies[-1, k]
+    (e_lo, _), (v_lo, v_hi) = m.epsilons, m.couplings
+    ref = (e - (e_lo - 1j * lam * v_lo * v_lo)) / (-1j * lam * v_lo * v_hi)
+    comp = omega_comparison(eps1, eps2, w, lam_factor=lam_factor)
+    assert comp.lam == lam
+    assert abs(comp.tan_theta - ref) <= 1e-12 * abs(ref)
+
+
+def test_theta_past_the_45_degree_coalescence_is_rejected():
+    # at 45 deg the real ray meets the coalescence at lambda = gap; past it the branch is arbitrary
+    assert abs(theta_of(0.0, 1.0, 45.0, 0.999).real) < 1e-9
+    for lam in (1.001, 2.0, 100.0):
+        with pytest.raises(ThetaSingularError):
+            theta_of(0.0, 1.0, 45.0, lam)
+        with pytest.raises(ThetaSingularError):
+            theta_of(1.0, 0.0, 45.0, lam)
+
+
+@pytest.mark.parametrize("samples", [-1, 0, 1, 2])
+def test_loop_needs_three_samples_per_winding(samples):
+    # a triangle is the smallest contour that can enclose a point
+    ep = two_level_eps(0.0, 1.0, 30.0)
+    with pytest.raises(ContourError):
+        loop_ep(build_two_level(0.0, 1.0, 30.0), ep.coupling, 0.3, samples=samples)
+
+
+@pytest.mark.parametrize("windings", [0.5, 1.5, -2.5])
+def test_loop_needs_whole_windings(windings):
+    ep = two_level_eps(0.0, 1.0, 30.0)
+    with pytest.raises(ContourError):
+        loop_ep(build_two_level(0.0, 1.0, 30.0), ep.coupling, 0.3, windings=windings)
+
+
+def test_three_samples_per_winding_enclose_the_point():
+    ep = two_level_eps(0.0, 1.0, 30.0)
+    res = loop_ep(build_two_level(0.0, 1.0, 30.0), ep.coupling, 0.3, samples=3)
+    assert (res.permutation, res.signs) == WINDING_TABLE[1]

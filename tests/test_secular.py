@@ -87,6 +87,18 @@ def test_warm_start_of_the_wrong_length_is_rejected():
         eigen_spectrum(build_picket_fence(5), 0.5, warm_start=np.zeros(4, dtype=complex))
 
 
+def test_separate_pushes_coincident_seeds_apart():
+    seeds = np.array([0.5, 0.5, 0.5, 2.0 + 1.0j, 2.0 + 1.0j])
+    a = secular._separate(seeds.copy(), 0.7 + 0.3j)
+    b = secular._separate(seeds.copy(), 0.7 + 0.3j)
+    np.testing.assert_array_equal(a, b)  # deterministic
+    scale = np.abs(seeds).max()
+    gaps = np.abs(a[:, None] - a[None, :]) + np.diag(np.full(a.size, np.inf))
+    assert gaps.min() >= 1e-12 * scale
+    apart = np.array([0.0, 1.0, 1.0 + 1e-9j, -2.0])
+    np.testing.assert_array_equal(secular._separate(apart.copy(), 0.7 + 0.3j), apart)
+
+
 def test_trace_is_conserved():
     m = build_picket_fence(11)
     lam = CouplingParameter(0.7, 20.0)

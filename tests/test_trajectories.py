@@ -131,6 +131,27 @@ def test_order_parameter_needs_two_points(lam):
         order_parameter(build_picket_fence(11), lam)
 
 
+@pytest.mark.parametrize("lam", [[0.5, 0.5], [0.3, 0.5, 0.3], [0.5, 0.4, 0.45]])
+def test_order_parameter_rejects_a_non_monotonic_grid(lam):
+    # a coupling error, so the CLI exits 2 on it without a check of its own
+    with pytest.raises(InvalidCouplingError):
+        order_parameter(build_picket_fence(11), lam)
+
+
+def test_sweep_rejects_an_empty_grid_and_an_unknown_policy():
+    m = build_picket_fence(5)
+    with pytest.raises(ValueError):
+        sweep(m, [])
+    with pytest.raises(ValueError):
+        sweep(m, [0.1, 0.2], policy="nearest")
+
+
+def test_no_interior_width_maximum_gives_no_turning_points():
+    # every width still grows at these weak couplings
+    traj = sweep(build_picket_fence(5), [0.01, 0.02, 0.03])
+    assert turning_points(traj) == []
+
+
 def test_sweep_perturbed_fence_strict_policy():
     m = build_perturbed_fence(9, 0.2, seed=3)
     traj = sweep(m, np.arange(0.05, 1.0, 0.05), policy="raise")
