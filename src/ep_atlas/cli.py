@@ -405,11 +405,24 @@ def _run_loop(cfg, emit):
         raise ConfigError("samples must be >= 3")
     if windings == 0:
         raise ConfigError("windings must be nonzero")
+    delta = _get(cfg, "delta", 1.0, float)
+    if not (0 < abs(delta) < 45):
+        raise ConfigError("delta must be nonzero and below 45 degrees in size")
+    factor = _get(cfg, "lam_factor", 100.0, float)
     model = build_two_level(eps1, eps2, omega)
     ep = two_level_eps(eps1, eps2, omega)
     radius = _get(cfg, "radius", 0.4 * float(abs(ep.coupling - ep.partner)) / 2.0, float)
     if radius <= 0:
         raise ConfigError("radius must be positive")
+    rows, theta_ends = [], []
+    for w in (45.0 - delta, 45.0 + delta):
+        comp = omega_comparison(eps1, eps2, w, lam_factor=factor)
+        th = theta_of(eps1, eps2, w, comp.lam)
+        theta_ends.append(th)
+        rows.append((
+            w, comp.lam, comp.tan_theta.real, comp.tan_theta.imag, comp.tan_theta_limit,
+            comp.predicted, comp.prediction, comp.deviation, math.degrees(th.real),
+        ))
     res = loop_ep(model, ep.coupling, radius, windings=windings, samples=samples)
     t, contour = _contour(ep.coupling, radius, windings, res.samples // abs(windings))
     theta = theta_along(eps1, eps2, omega, contour)
@@ -430,17 +443,6 @@ def _run_loop(cfg, emit):
         "matrix_error": repr(res.matrix_error),
     }
     emit("loop_contour", meta, cols)
-    delta = _get(cfg, "delta", 1.0, float)
-    factor = _get(cfg, "lam_factor", 100.0, float)
-    rows, theta_ends = [], []
-    for w in (45.0 - delta, 45.0 + delta):
-        comp = omega_comparison(eps1, eps2, w, lam_factor=factor)
-        th = theta_of(eps1, eps2, w, comp.lam)
-        theta_ends.append(th)
-        rows.append((
-            w, comp.lam, comp.tan_theta.real, comp.tan_theta.imag, comp.tan_theta_limit,
-            comp.predicted, comp.prediction, comp.deviation, math.degrees(th.real),
-        ))
     names = (
         "omega_deg", "lam", "re_tan_theta", "im_tan_theta", "tan_theta_limit",
         "predicted", "prediction", "deviation", "theta_end_deg",

@@ -17,8 +17,8 @@ Lambda(t) = center + radius * exp(-2j*pi*t): one clockwise winding steps the
 two-level mixing angle theta by a quarter period pi/2 (downward in the sign
 convention of _tan_theta), so four windings restore the angle mod 2*pi.
 
-theta_of and omega_comparison work on the real coupling ray only;
-theta_along continues the angle along any other path.
+theta_of and omega_comparison read the real coupling ray off the two-level
+closed form; theta_along continues the angle along any other path.
 """
 
 from __future__ import annotations
@@ -29,14 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContourError, ResolutionError, ThetaSingularError
+from .errors import ContourError, InvalidCouplingError, ResolutionError, ThetaSingularError
 from .models import EffectiveModel, build_two_level
 from .secular import _two_level_quadratic, eigen_spectrum
 from .exceptional import expand_ep_set, find_eps, two_level_eps
 
 _MIN_OVERLAP = 0.99  # worst accepted bilinear overlap between consecutive samples
 _MAX_REFINEMENTS = 4  # sample doublings before ResolutionError
-_THETA_STEPS = 2048  # points of the coupling ray theta_of continues along
 
 
 @dataclass(frozen=True)
@@ -205,46 +204,41 @@ def _tan_theta(e, eps1, lam_c, c, s):
     return (e - eps1 + 1j * lam_c * c * c) / (-1j * lam_c * c * s)
 
 
-def _lambda_grid(lam: float, gap: float, n_steps: int):
-    """Linear through the crossing region, geometric out to the target."""
-    pivot = min(lam, 2.0 * gap)
-    lin = np.linspace(0.0, pivot, max(2, n_steps // 2))
-    if lam <= pivot:
-        return lin
-    geo = pivot * (lam / pivot) ** (np.arange(1, n_steps // 2 + 1) / (n_steps // 2))
-    return np.concatenate([lin, geo])
-
-
 def theta_of(eps1: float, eps2: float, omega_deg: float, lam: float) -> complex:
     """Complex mixing angle of the state anchored at the lower level, on the real ray.
 
-    theta is continued over _THETA_STEPS points of the real coupling ray from
-    0 (where it vanishes) to lambda, tracking the eigenvalue branch that
-    starts at eps1.  tan(theta) is the component ratio of that state's
-    eigenvector.  Raises ThetaSingularError if the ray runs into or too close
-    to the coalescence, where the branch choice stops being well defined: at
-    omega = 45 degrees the ray meets it at lambda = gap, so every lambda from
-    there on is rejected.  For other coupling paths use theta_along.
+    The principal atan of the closed-form eigenvector ratio tan(theta) of
+    E = mean - w/2, which starts at eps1; it equals theta continued from 0.
+    Raises InvalidCouplingError for a negative or non-finite lambda, and
+    ThetaSingularError at omega = 45 degrees from lambda = gap on, where the
+    ray meets the coalescence.  For other coupling paths use theta_along.
     """
     e1, e2, c, s = _two_level_arrays(eps1, eps2, omega_deg)
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    if not (0 <= lam < math.inf):
+        raise InvalidCouplingError("lambda must be finite and nonnegative, got %r" % (lam,))
     if lam == 0 or c == 0 or s == 0:
         return 0j
-    gap = e2 - e1
-    if abs(math.degrees(math.atan2(s, c)) - 45.0) < 1e-9 and lam >= gap:
+    if abs(math.degrees(math.atan2(s, c)) - 45.0) < 1e-9 and lam >= e2 - e1:
         raise ThetaSingularError("omega = 45 degrees: the ray meets the coalescence at lambda = gap")
-    path = _lambda_grid(lam, gap, _THETA_STEPS)
-    return complex(theta_along(eps1, eps2, omega_deg, path)[-1])
+    # Off 45 degrees Im w^2 = 2*lambda*gap*cos(2*omega) keeps one sign, so the principal root w
+    # continues +gap.  tan(theta) is finite, tends to 0 with lambda and never meets the imaginary
+    # axis, which holds both cuts of atan: for x = (1, i*y) with y real, E from the first row of
+    # H x = E x put into the second leaves a real part that needs y = 0 or c^2 = s^2, and y = 0
+    # leaves c*s = 0.  At 45 degrees below lambda = gap, tan(theta) = i*(gap - w)/lambda stays
+    # inside (-i, i), between the cuts.  So the principal atan is the continued angle itself.
+    mean, root = _two_level_quadratic(e1, e2, c * c - s * s, lam)
+    return cmath.atan(_tan_theta(mean - root / 2.0, e1, lam, c, s))
 
 
 def theta_along(eps1: float, eps2: float, omega_deg: float, couplings) -> np.ndarray:
     """Mixing angle continued along an arbitrary coupling path.
 
     Starts from the lower-energy state at the first path point (principal
-    branch of atan there) and tracks both the eigenvalue and the angle
-    continuously; useful for watching theta advance by pi/2 per clockwise
-    winding of a contour around the coalescence.
+    branch of atan there), then takes the eigenvalue nearest the previous
+    one: a step not small against the eigenvalue gap, which closes at the
+    coalescence, jumps to the other state unseen (loop_ep refines loop's
+    contour until consecutive vectors overlap).  Per clockwise winding of a
+    contour around the coalescence theta steps by pi/2.
     """
     e1, e2, c, s = _two_level_arrays(eps1, eps2, omega_deg)
     if c == 0 or s == 0:
@@ -305,8 +299,10 @@ def omega_comparison(
     2*lambda*gap*cos(2*omega) keeps one sign along the real ray, so the
     principal root is the continuation of +gap, and tan discards the
     multiples of pi a continued theta would add.  theta_along covers other
-    paths.
+    paths.  Raises InvalidCouplingError unless 0 < lam_factor < inf.
     """
+    if not (0 < lam_factor < math.inf):
+        raise InvalidCouplingError("lam_factor must be finite and positive, got %r" % (lam_factor,))
     e1, e2, c, s = _two_level_arrays(eps1, eps2, omega_deg)
     if c == 0 or s == 0:
         raise ThetaSingularError("channel aligned with a basis state; no mixing to compare")

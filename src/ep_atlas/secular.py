@@ -542,6 +542,13 @@ def _slots(eps: np.ndarray, act: np.ndarray, warm: np.ndarray) -> np.ndarray:
     return slot
 
 
+def _off_poles(z: np.ndarray, eps: np.ndarray, v2: np.ndarray, lam) -> np.ndarray:
+    # warm seeds z of the levels eps: an entry on its own pole (a sweep from lambda = 0) makes the
+    # step 1/0, which _aberth zeroes and then accepts, so it moves to the weak seed eps - i*lam*v2
+    hit = z == eps
+    return np.where(hit, eps - 1j * lam * v2, z) if hit.any() else z
+
+
 def eigen_spectrum(
     model: EffectiveModel,
     coupling,
@@ -557,10 +564,11 @@ def eigen_spectrum(
     split off exactly: they stay at eps_k with unit basis vectors, and the
     iteration runs on the coupled subset only.  warm_start takes a length-N
     array of previous eigenvalues, in any order, to continue a parameter
-    sweep: the iterate of coupled level k starts from warm_start[k].  A
-    split-off level d whose energy sits at another entry warm_start[j]
-    trades entries with level j, so level j is seeded from warm_start[d],
-    the root its own entry displaced.
+    sweep: the iterate of coupled level k starts from warm_start[k], or from
+    eps_k - i*Lambda*v_k^2 if that entry is eps_k.  A split-off level d
+    whose energy sits at another entry warm_start[j] trades entries with
+    level j, so level j is seeded from warm_start[d], the root its own entry
+    displaced.
 
     The roots come from one _aberth attempt, from warm_start or, on a cold
     solve, from _seeds.  residual is its largest last relative step; near an
@@ -600,7 +608,7 @@ def eigen_spectrum(
         if eps_a.size == 1:
             roots = np.array([eps_a[0] - 1j * lam * v2_a[0]])
         else:
-            z0 = _seeds(eps_a, v2_a, lam) if warm_start is None else warm_start[slot[act]]
+            z0 = _seeds(eps_a, v2_a, lam) if warm_start is None else _off_poles(warm_start[slot[act]], eps_a, v2_a, lam)
             roots, its, ok, last = _aberth(
                 eps_a, _spectrum_logderiv(v2_a, lam), z0, maxiter=maxiter, tol=tol, floor=partial(_step_floor, eps_a, v2_a)
             )
@@ -663,8 +671,8 @@ def _continue_batch(model: EffectiveModel, couplings: np.ndarray, seeds: np.ndar
     e_full = np.repeat(eps.astype(complex)[None, :], lam.size, axis=0)
     ok = lam != 0
     if act.any():
-        warm = np.take_along_axis(seeds, slot[:, act], axis=1)
         v2 = v[act] ** 2
+        warm = _off_poles(np.take_along_axis(seeds, slot[:, act], axis=1), eps[act], v2, lam[:, None])
         z, _, conv, _ = _aberth(eps[act], _spectrum_logderiv(v2, lam), warm, floor=partial(_step_floor, eps[act], v2))
         e_full[:, act] = z
         ok &= conv

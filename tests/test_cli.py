@@ -10,9 +10,19 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from ep_atlas import build_perturbed_fence, build_power_law, build_spacing_ensemble, build_two_level, find_eps
+from ep_atlas import (
+    b_measure,
+    build_perturbed_fence,
+    build_picket_fence,
+    build_power_law,
+    build_spacing_ensemble,
+    build_two_level,
+    eigen_spectrum,
+    find_eps,
+)
 from ep_atlas.cli import main
 from ep_atlas.runio import file_digest
+from helpers import assert_complex_sets_close
 
 
 def run(*args, env=None):
@@ -182,6 +192,14 @@ def test_runtime_needs_only_numpy_and_click(tmp_path):
         ("bcurve", "lambda_list = nan"),
         ("sweep", "lambda_list = 0.1, nan"),
         ("sweep", "lambda_list = 0.1, inf, 0.3"),
+        ("loop", "lam_factor = 0"),
+        ("loop", "lam_factor = -1"),
+        ("loop", "lam_factor = nan"),
+        ("loop", "lam_factor = inf"),
+        ("loop", "delta = 0"),
+        ("loop", "delta = 45"),
+        ("loop", "delta = -45"),
+        ("loop", "delta = nan"),
     ],
 )
 def test_bad_config_value_exits_2(tmp_path, command, text):
@@ -190,6 +208,35 @@ def test_bad_config_value_exits_2(tmp_path, command, text):
     res = run(command, "--config", str(conf), "--n", "5", "--jobs", "1", "--out", str(tmp_path))
     assert res.exit_code == 2
     assert "error:" in res.output
+    assert not list(tmp_path.glob("*.csv"))  # rejected before any table is written
+
+
+def test_loop_keeps_the_branch_next_to_the_coalescence(tmp_path):
+    # at 45 -+ 0.001 deg the ray passes 3.5e-5*gap from the coalescence; the two
+    # lower-anchored angles end a quarter turn apart, not on the same branch
+    conf = tmp_path / "c.conf"
+    conf.write_text("experiment = loop\ndelta = 0.001\nsamples = 64\n")
+    assert run("loop", "--config", str(conf), "--out", str(tmp_path)).exit_code == 0
+    meta = dict(
+        line[2:].split(": ", 1) for line in (tmp_path / "omega_check.csv").read_text().splitlines() if line.startswith("# ")
+    )
+    assert 89.99 < float(meta["phase_difference_deg"]) < 90.0
+
+
+def test_sweep_and_bcurve_from_zero_coupling_match_cold_solves(tmp_path):
+    grid = ("--n", "7", "--lambda-start", "0", "--lambda-stop", "0.3", "--lambda-step", "0.1", "--format", "json")
+    assert run("sweep", *grid, "--out", str(tmp_path)).exit_code == 0
+    assert run("bcurve", *grid, "--jobs", "1", "--out", str(tmp_path)).exit_code == 0
+    m = build_picket_fence(7)
+    cols = json.loads((tmp_path / "sweep_trajectories.json").read_text())["columns"]
+    lam = np.array(cols["lam"])
+    e = np.array(cols["re_energy"]) + 1j * np.array(cols["im_energy"])
+    assert lam.min() == 0.0
+    for c in np.unique(lam)[1:]:
+        assert_complex_sets_close(e[lam == c], eigen_spectrum(m, c).energies, atol=1e-12)
+    doc = json.loads((tmp_path / "bcurve.json").read_text())
+    assert doc["meta"]["flagged"] == 0
+    np.testing.assert_allclose(doc["columns"]["b"], [b_measure(m, c) for c in doc["columns"]["lam"]], rtol=1e-12)
 
 
 @pytest.mark.parametrize(

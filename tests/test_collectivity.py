@@ -28,6 +28,16 @@ def test_b_matches_dense_reference():
     assert abs(got - B_101_AT_CRITICAL) < 1e-8
 
 
+def test_b_curve_from_zero_coupling_matches_cold_solves():
+    # the warm solve after lambda = 0 starts on the bare levels and must leave them
+    m = build_picket_fence(7)
+    lam = [0.0, 0.1, 0.2, 0.3]
+    curve = b_curve(m, lam)
+    assert curve.flagged == ()
+    np.testing.assert_allclose(curve.values, [b_measure(m, c) for c in lam], rtol=1e-12)
+    assert curve.values[1] > 1.04
+
+
 def test_b_is_at_least_one():
     m = build_picket_fence(21)
     for lam in (0.05, 0.3, 1.0, 5.0):

@@ -7,6 +7,7 @@ import pytest
 
 from ep_atlas import (
     ContourError,
+    InvalidCouplingError,
     ThetaSingularError,
     build_picket_fence,
     build_two_level,
@@ -138,12 +139,11 @@ def test_strong_coupling_angle_generic_channels():
 @pytest.mark.parametrize("w", [20.0, 44.0, 46.0, 75.0])
 def test_strong_coupling_angle_matches_a_sweep(levels, lam_factor, w):
     # reference: continue the state that starts at the upper level along the real ray
-    # with sweep, then read tan(theta) = x_upper / x_lower off H = diag(eps) - i*lam*v v^T;
-    # the ray starts one step above 0, since a sweep warm-started from the bare levels stays there
+    # with sweep, then read tan(theta) = x_upper / x_lower off H = diag(eps) - i*lam*v v^T
     eps1, eps2 = levels
     m = build_two_level(eps1, eps2, w)
     lam = lam_factor * abs(eps2 - eps1)
-    traj = sweep(m, np.linspace(0.0, lam, 2001)[1:])
+    traj = sweep(m, np.linspace(0.0, lam, 2001))
     k = int(np.argmin(np.abs(traj.energies[0] - max(eps1, eps2))))
     e = traj.energies[-1, k]
     (e_lo, _), (v_lo, v_hi) = m.epsilons, m.couplings
@@ -151,6 +151,56 @@ def test_strong_coupling_angle_matches_a_sweep(levels, lam_factor, w):
     comp = omega_comparison(eps1, eps2, w, lam_factor=lam_factor)
     assert comp.lam == lam
     assert abs(comp.tan_theta - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("levels", [(0.0, 1.0), (1.0, 0.0)])
+@pytest.mark.parametrize("lam_factor", [2.0, 100.0])
+@pytest.mark.parametrize("w", [20.0, 44.0, 44.999, 45.001, 46.0, 75.0])
+def test_theta_of_matches_a_sweep(levels, lam_factor, w):
+    # continue the state that starts at the lower level along the real ray with sweep and
+    # read tan(theta) = x_upper / x_lower off its eigenvector; at 44.999 and 45.001 the ray
+    # passes 3.5e-5*gap from the coalescence and the two eigenvalues come within 0.0084*gap,
+    # where a coarse continuation takes the other state
+    eps1, eps2 = levels
+    m = build_two_level(eps1, eps2, w)
+    lam = lam_factor * abs(eps2 - eps1)
+    traj = sweep(m, np.linspace(0.0, lam, 2001))
+    k = int(np.argmin(np.abs(traj.energies[0] - min(eps1, eps2))))
+    e = traj.energies[-1, k]
+    (e_lo, _), (v_lo, v_hi) = m.epsilons, m.couplings
+    ref = (e - (e_lo - 1j * lam * v_lo * v_lo)) / (-1j * lam * v_lo * v_hi)
+    got = np.tan(theta_of(eps1, eps2, w, lam))
+    assert abs(got - ref) <= 1e-14 * abs(ref)
+
+
+def _fine_ray(lam, gap):
+    """4001 linear points to 2*gap, then 200 geometric points out to lam."""
+    pivot = min(lam, 2.0 * gap)
+    lin = np.linspace(0.0, pivot, 4001)
+    return np.concatenate([lin, pivot * (lam / pivot) ** (np.arange(1, 201) / 200.0)]) if lam > pivot else lin
+
+
+@pytest.mark.parametrize("levels", [(0.0, 1.0), (1.0, 0.0), (-0.5, 2.0)])
+@pytest.mark.parametrize("w", [1.0, 20.0, 44.0, 44.999, 45.001, 46.0, 70.0, 89.0])
+def test_theta_of_matches_a_fine_continuation(levels, w):
+    eps1, eps2 = levels
+    gap = abs(eps2 - eps1)
+    for lam in (0.3 * gap, 2.0 * gap, 1e3 * gap):
+        ref = theta_along(eps1, eps2, w, _fine_ray(lam, gap))[-1]
+        got = theta_of(eps1, eps2, w, lam)
+        assert abs(got - ref) <= 1e-12 * abs(ref), (lam, got, ref)
+
+
+@pytest.mark.parametrize("lam", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+def test_theta_of_rejects_a_negative_or_non_finite_coupling(lam):
+    with pytest.raises(InvalidCouplingError):
+        theta_of(0.0, 1.0, 30.0, lam)
+
+
+@pytest.mark.parametrize("lam_factor", [0.0, -1.0, math.nan, math.inf])
+def test_omega_comparison_rejects_a_ray_it_cannot_use(lam_factor):
+    with pytest.raises(InvalidCouplingError):
+        omega_comparison(0.0, 1.0, 30.0, lam_factor=lam_factor)
 
 
 def test_theta_past_the_45_degree_coalescence_is_rejected():

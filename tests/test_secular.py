@@ -410,6 +410,24 @@ def test_unconverged_solve_raises_with_diagnostics(n, maxiter, warm):
     assert diag["max_relative_step"] > 5e-14
 
 
+@pytest.mark.parametrize(
+    "model, coupling, warm",
+    [
+        (build_two_level(0.0, 1.0, 20.0), 0.2, [0.0, 1.0]),
+        (build_picket_fence(15), CouplingParameter(0.3, 30.0), None),
+        (build_power_law(15, 1.0, 4.0), 0.5, None),
+    ],
+    ids=["two_level", "fence_complex", "power_law_split_off"],
+)
+def test_warm_start_on_the_bare_levels_leaves_them(model, coupling, warm):
+    # an iterate on a pole has a non-finite step; it must be reseeded, not frozen there
+    warm = model.epsilons if warm is None else warm
+    got = eigen_spectrum(model, coupling, warm_start=warm)
+    cold = eigen_spectrum(model, coupling)
+    assert_complex_sets_close(got.energies, cold.energies, atol=1e-12)
+    assert got.residual < 1e-12
+
+
 def test_warm_seeds_skip_the_bare_level_entry(monkeypatch):
     # fig3's compensated chain: from lambda = 0.65 the bare level sorts off its
     # index, and every coupled iterate must still start from its own warm entry

@@ -23,9 +23,20 @@ from ep_atlas import (
 )
 from ep_atlas import trajectories
 from ep_atlas.trajectories import _advance, _find_peaks
+from helpers import assert_complex_sets_close
 
 # real-axis coalescence coupling of the 4-level unit ladder (exact resultant root)
 FENCE4_REAL_EP = 0.412011997789875
+
+
+@pytest.mark.parametrize("model", [build_picket_fence(5), build_power_law(15, 1.0, 4.0)], ids=["fence", "power_law"])
+def test_sweep_from_zero_coupling_leaves_the_bare_levels(model):
+    # every warm solve after lambda = 0 starts on the poles; each row must match a cold solve
+    lam = np.linspace(0.0, 0.6, 7)
+    traj = sweep(model, lam)
+    assert traj.ambiguous_intervals == ()
+    for row, c in zip(traj.energies[1:], lam[1:]):
+        assert_complex_sets_close(row, eigen_spectrum(model, c).energies, atol=1e-12)
 
 
 def test_sweep_columns_are_continuous():
