@@ -335,6 +335,8 @@ def _run_sweep(cfg, emit):
     grid = _grid_from(cfg, 0.001, 2.0, 0.001)
     phi = _get(cfg, "phi", 0.0, float)
     policy = _get(cfg, "ambiguity", "sorted", str)
+    if policy not in ("raise", "sorted"):
+        raise ConfigError("ambiguity must be raise or sorted, got %r" % policy)
     traj = sweep(model, grid, phi, policy=policy)
     meta = {
         "model": cfg.get("model", "picket"), "n": model.n, "phi_deg": phi,

@@ -106,7 +106,7 @@ def b_curve(model: EffectiveModel, lam_values, phi: float = 0.0) -> BCurve:
     for i, s in enumerate(lam):
         try:
             spec = eigen_spectrum(model, s * phase, compute_vectors=True, warm_start=prev)
-            prev = spec.energies
+            prev = spec.energies[spec.warm_order]
             vals[i] = float(spec.hermitian_norms.mean())
         except IllConditionedNormalizationError:
             vals[i] = np.nan

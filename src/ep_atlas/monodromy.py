@@ -4,13 +4,13 @@ Encircling a square-root exceptional point once swaps the two coalescing
 states and multiplies one of them by -1; the loop must be traversed four
 times to return every vector to itself.  Transport is implemented by
 continuation: the coupling walks the contour, each spectrum is solved warm
-from the previous point and read in warm-start order (Spectrum.warm_order),
-and the c-normalized vectors keep their sign by demanding a near-unit
-bilinear overlap psi_prev^T psi_next between consecutive samples
-(for the complex-symmetric H the transposed vectors are the left
-eigenvectors, so these overlaps are the natural expansion coefficients).
-If the worst step overlap falls below threshold the contour is resampled
-more finely before giving up.
+from the previous point and read in level order (Spectrum.warm_order), so
+initial state k is that of level k, and the c-normalized vectors keep
+their sign by demanding a near-unit bilinear overlap psi_prev^T psi_next
+between consecutive samples (for the complex-symmetric H the transposed
+vectors are the left eigenvectors, so these overlaps are the natural
+expansion coefficients).  If the worst step overlap falls below threshold
+the contour is resampled more finely before giving up.
 
 Positive winding numbers traverse the contour clockwise,
 Lambda(t) = center + radius * exp(-2j*pi*t): one clockwise winding steps the
@@ -42,11 +42,11 @@ _MAX_REFINEMENTS = 4  # sample doublings before ResolutionError
 class LoopResult:
     """Outcome of transporting all eigenvectors around a closed contour.
 
-    matrix[i, j] is the coefficient of initial state j in transported state
-    i; for a clean loop it is a signed permutation.  permutation[i] and
-    signs[i] give the dominant image and its sign, min_overlap the worst
-    step-to-step bilinear overlap seen, and matrix_error the distance of
-    matrix from the rounded signed permutation.  Signs are reported in the
+    matrix[i, j] is the coefficient of initial state j (the state of level
+    j) in transported state i; for a clean loop it is a signed permutation.
+    permutation[i] and signs[i] give the dominant image and its sign,
+    min_overlap the worst step-to-step bilinear overlap seen, and
+    matrix_error the distance of matrix from the rounded signed permutation.  Signs are reported in the
     canonical basis gauge of _fix_gauge, where each swap cycle carries its
     invariant -1 on the edge closing the cycle (so one winding around a
     square-root point reads psi_i -> psi_j, psi_j -> -psi_i with i < j).
@@ -91,8 +91,9 @@ def _fix_gauge(m: np.ndarray, perm: tuple[int, ...], signs: tuple[int, ...]):
 
 
 def _transport(model, contour):
-    spec0 = eigen_spectrum(model, contour[0], compute_vectors=True)
-    e, v = spec0.energies, spec0.vectors  # read only: each step builds new arrays
+    spec = eigen_spectrum(model, contour[0], compute_vectors=True)
+    e = spec.energies[spec.warm_order]
+    v = v0 = spec.vectors[:, spec.warm_order]  # read only: each step builds new arrays
     worst = 1.0
     for c in contour[1:]:
         spec = eigen_spectrum(model, c, warm_start=e, compute_vectors=True)
@@ -103,7 +104,7 @@ def _transport(model, contour):
         vnew[:, flip] = -vnew[:, flip]
         worst = min(worst, float(np.abs(ov).min()))
         v = vnew
-    return spec0, e, v, worst
+    return v0, v, worst
 
 
 def _contour(center: complex, radius: float, windings: int, per_wind: int):
@@ -156,9 +157,9 @@ def loop_ep(
     per_wind = int(samples)
     for _ in range(_MAX_REFINEMENTS + 1):
         _, contour = _contour(center, radius, windings, per_wind)
-        spec0, e_end, v_end, worst = _transport(model, contour)
+        v0, v_end, worst = _transport(model, contour)
         if worst >= _MIN_OVERLAP:
-            m = v_end.T @ spec0.vectors  # rows: transported states in the initial basis
+            m = v_end.T @ v0  # rows: transported states in the initial basis
             perm = tuple(int(np.argmax(np.abs(m[i]))) for i in range(m.shape[0]))
             signs = tuple(1 if m[i, perm[i]].real >= 0 else -1 for i in range(m.shape[0]))
             m, signs = _fix_gauge(m, perm, signs)

@@ -497,11 +497,11 @@ class Spectrum:
     eigenvectors as columns, is an N x N matrix built on first read and then
     cached (None when vectors were not requested).
 
-    warm_order carries state identity across a coupling step: energies[warm_order][k]
-    continues warm_start[k] of the solve.  On a cold solve it continues the
-    seed of level k: its onsite seed below the transition; above it, the
-    collective seed for the level nearest that root, and for every other
-    level the trapped seed in its adjacent gap that faces that level.
+    energies[warm_order][k] is the state of level k, the next warm_start:
+    it continues warm_start[k] or, cold, the seed of level k (onsite below
+    the transition; above it, the collective seed for the level nearest that
+    root and, for every other level, the trapped seed in its adjacent gap
+    that faces it).  Continuation never reads the sort of energies.
     """
 
     energies: np.ndarray
@@ -526,26 +526,15 @@ class Spectrum:
         return int(self.energies.size)
 
 
-def _slots(eps: np.ndarray, act: np.ndarray, warm: np.ndarray) -> np.ndarray:
-    """The warm-start entry slot[k] that continues level k.
-
-    Coupled level k continues warm[k], except that a split-off level d
-    (act[d] false) whose energy sits at another entry trades entries with
-    the level seeded there, which then continues warm[d], the root its own
-    entry displaced.
-    """
-    slot = np.arange(eps.size)
-    for d in np.flatnonzero(~act):
-        hit = np.flatnonzero(warm[slot] == eps[d])
-        if hit.size and warm[slot[d]] != eps[d]:
-            slot[[d, hit[0]]] = slot[[hit[0], d]]
-    return slot
-
-
 def _off_poles(z: np.ndarray, eps: np.ndarray, v2: np.ndarray, lam) -> np.ndarray:
-    # warm seeds z of the levels eps: an entry on its own pole (a sweep from lambda = 0) makes the
-    # step 1/0, which _aberth zeroes and then accepts, so it moves to the weak seed eps - i*lam*v2
-    hit = z == eps
+    # warm seeds z of the levels eps, entry k for level k: an entry on any pole eps_j (a sweep from
+    # lambda = 0, or a start in another order) makes the step 1/0, which _aberth zeroes and then
+    # accepts, so it moves to its own weak seed eps_k - i*lam*v2_k.  Only real entries are looked
+    # up, and off phi = 90 degrees a warm start at lambda > 0 has none.
+    if z.imag.all():
+        return z
+    j = np.minimum(np.searchsorted(eps, z.real), eps.size - 1)
+    hit = (z.imag == 0) & (eps[j] == z.real)
     return np.where(hit, eps - 1j * lam * v2, z) if hit.any() else z
 
 
@@ -563,12 +552,11 @@ def eigen_spectrum(
     lambda = 0 is exact (the unperturbed levels).  Levels with v_k = 0 are
     split off exactly: they stay at eps_k with unit basis vectors, and the
     iteration runs on the coupled subset only.  warm_start takes a length-N
-    array of previous eigenvalues, in any order, to continue a parameter
-    sweep: the iterate of coupled level k starts from warm_start[k], or from
-    eps_k - i*Lambda*v_k^2 if that entry is eps_k.  A split-off level d
-    whose energy sits at another entry warm_start[j] trades entries with
-    level j, so level j is seeded from warm_start[d], the root its own entry
-    displaced.
+    array of previous eigenvalues in level order, energies[warm_order] of an
+    earlier solve, to continue a parameter sweep: warm entry k seeds level
+    k, and the entries of split-off levels are ignored.  An entry that sits
+    on any coupled level eps_j is seeded at eps_k - i*Lambda*v_k^2 instead,
+    since the iteration cannot step off a pole.
 
     The roots come from one _aberth attempt, from warm_start or, on a cold
     solve, from _seeds.  residual is its largest last relative step; near an
@@ -594,21 +582,19 @@ def eigen_spectrum(
     e_full = eps.astype(complex)
     its = 0
     last = 0.0
-    slot = np.arange(n)  # the state of level k is reported in warm_start entry slot[k]
     if warm_start is not None:
         warm_start = np.asarray(warm_start, dtype=complex)
         if warm_start.shape != (n,):
             raise ValueError("warm_start must have one entry per level")
         if not np.isfinite(warm_start).all():
             raise ValueError("warm_start entries must be finite")
-        slot = _slots(eps, act, warm_start)
     if act.any():
         eps_a = eps[act]
         v2_a = v[act] ** 2
         if eps_a.size == 1:
             roots = np.array([eps_a[0] - 1j * lam * v2_a[0]])
         else:
-            z0 = _seeds(eps_a, v2_a, lam) if warm_start is None else _off_poles(warm_start[slot[act]], eps_a, v2_a, lam)
+            z0 = _seeds(eps_a, v2_a, lam) if warm_start is None else _off_poles(warm_start[act], eps_a, v2_a, lam)
             roots, its, ok, last = _aberth(
                 eps_a, _spectrum_logderiv(v2_a, lam), z0, maxiter=maxiter, tol=tol, floor=partial(_step_floor, eps_a, v2_a)
             )
@@ -619,7 +605,7 @@ def eigen_spectrum(
 
     order = _sorted_order(e_full)
     e_sorted = e_full[order]
-    warm_order = np.argsort(slot[order])  # the inverse permutation
+    warm_order = np.argsort(order)  # the inverse permutation: energies[warm_order] is e_full
 
     if not compute_vectors:
         return Spectrum(energies=e_sorted, iterations=its, residual=last, warm_order=warm_order)
@@ -652,33 +638,30 @@ def eigen_spectrum(
 def _continue_batch(model: EffectiveModel, couplings: np.ndarray, seeds: np.ndarray):
     """Roots at B couplings from one batched _aberth call; returns (roots, ok).
 
-    Row b of seeds is the warm start for couplings[b], read as
-    eigen_spectrum reads warm_start.  roots[b, j] continues seeds[b, j]:
-    only coupled levels are iterated, and a split-off level stays at its
-    bare energy in the entry that holds it.  ok[b] says that member b
-    converged at a nonzero coupling.  Each member gets one attempt, as an
-    eigen_spectrum solve does; sweep solves the first member that is not ok
-    again, from the last accepted row and with bisection.  Raises
-    InvalidCouplingError for a NaN or infinite coupling, as eigen_spectrum
-    does.
+    Row b of seeds is the warm start for couplings[b] in level order, read
+    as eigen_spectrum reads warm_start, and roots[b] comes back in level
+    order too: roots[b, k] continues seeds[b, k].  Only coupled levels are
+    iterated; a split-off level keeps its own entry, at its bare energy.
+    ok[b] says that member b converged at a nonzero coupling.  Each member
+    gets one attempt, as an eigen_spectrum solve does; sweep solves the
+    first member that is not ok again, from the last accepted row and with
+    bisection.  Raises InvalidCouplingError for a NaN or infinite coupling,
+    as eigen_spectrum does.
     """
     lam = np.array([_as_lambda(c) for c in couplings], dtype=complex)
     seeds = np.asarray(seeds, dtype=complex)
     eps = model.epsilons
     v = model.couplings
     act = v != 0.0
-    slot = np.array([_slots(eps, act, w) for w in seeds])
     e_full = np.repeat(eps.astype(complex)[None, :], lam.size, axis=0)
     ok = lam != 0
     if act.any():
         v2 = v[act] ** 2
-        warm = _off_poles(np.take_along_axis(seeds, slot[:, act], axis=1), eps[act], v2, lam[:, None])
+        warm = _off_poles(seeds[:, act], eps[act], v2, lam[:, None])
         z, _, conv, _ = _aberth(eps[act], _spectrum_logderiv(v2, lam), warm, floor=partial(_step_floor, eps[act], v2))
         e_full[:, act] = z
         ok &= conv
-    roots = np.empty_like(e_full)
-    np.put_along_axis(roots, slot, e_full, axis=1)
-    return roots, ok
+    return e_full, ok
 
 
 # ---------------------------------------------------------------------------

@@ -2,21 +2,23 @@
 
 A sweep follows all N complex eigenvalues along a grid of couplings
 Lambda = lambda * exp(1j*phi).  The continuation is iterate identity: each
-root is iterated from a seed that belongs to one column, so no matching
-happens here.  After the first (cold) point, grid points are solved in
-batches, one engine call per batch: every point's seed is the linear
-(secant) extrapolation of the last two accepted rows, or the last row alone
-when no second row continues it.  A point is accepted only if every root
-moved by less than roughly half its distance to the nearest other root (the
-balls are then disjoint and the continuation is unique); a batch keeps its
-leading run of accepted points.  The batch size doubles after a batch that
-is accepted whole, up to what half an engine row block holds, and falls
-back to one point after a rejection.  The first rejected point is re-solved
-from the last row alone, warm-starting eigen_spectrum, and its step is
-bisected until it passes the same test.  An exceptional point crossed by
-the path makes the continuation genuinely undefined (the two branches
-reconnect at equal distances), which surfaces as TrajectoryAmbiguityError
-unless the caller opts into canonical sorted order at such points.
+root is iterated from a seed that belongs to one column (column k holds
+level k, in the order of Spectrum.warm_order, whatever order the energies
+sort in), so no matching happens here.  After the first (cold) point,
+grid points are solved in batches, one engine call per batch: every
+point's seed is the linear (secant) extrapolation of the last two accepted
+rows, or the last row alone when no second row continues it.  A point is
+accepted only if every root moved by less than roughly half its distance
+to the nearest other root (the balls are then disjoint and the
+continuation is unique); a batch keeps its leading run of accepted points.
+The batch size doubles after a batch that is accepted whole, up to what
+half an engine row block holds, and falls back to one point after a
+rejection.  The first rejected point is re-solved from the last row alone,
+warm-starting eigen_spectrum, and its step is bisected until it passes the
+same test.  An exceptional point crossed by the path makes the
+continuation genuinely undefined (the two branches reconnect at equal
+distances), which surfaces as TrajectoryAmbiguityError unless the caller
+opts into a restart from a cold solve at such points.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ _PROMINENCE = 1e-4  # least width prominence of a turning point
 class Trajectory:
     """Continuously matched spectrum along a coupling grid.
 
-    energies has one row per grid point and one column per state; column k
+    energies has one row per grid point and one column per level; column k
     is a single analytic branch as long as ambiguous_intervals is empty.
     """
 
@@ -95,10 +97,11 @@ def sweep(
 ) -> Trajectory:
     """Track all eigenvalues over a lambda grid at fixed phase phi (degrees).
 
-    policy='raise' (default) raises TrajectoryAmbiguityError when a step
-    cannot be matched even after bisection; policy='sorted' records the
-    offending interval and continues from the canonically sorted spectrum,
-    which is what a branch reconnection at an exceptional point requires.
+    Column k continues level k from the first point.  policy='raise'
+    (default) raises TrajectoryAmbiguityError when a step cannot be matched
+    even after bisection; policy='sorted' records the offending interval and
+    restarts from a cold solve in level order, as a branch reconnection at an
+    exceptional point requires.
     Grid points are solved in batches from secant-extrapolated seeds (see
     the module docstring); the rows agree with one warm solve per point up
     to the iteration's stopping tolerance.  A NaN or infinite lambda raises
@@ -113,7 +116,8 @@ def sweep(
     cs = lam * phase
     n = model.n
     rows = np.empty((lam.size, n), dtype=complex)
-    rows[0] = eigen_spectrum(model, cs[0]).energies
+    spec = eigen_spectrum(model, cs[0])
+    rows[0] = spec.energies[spec.warm_order]
     bad: list[tuple[float, float]] = []
     # the engine holds two batch-sized temporaries at once (r and the callback's product):
     # half a row block each keeps the pair within one block
@@ -147,7 +151,8 @@ def sweep(
                     interval=(float(lam[i - 1]), float(lam[i])),
                 )
             bad.append((float(lam[i - 1]), float(lam[i])))
-            roots = eigen_spectrum(model, cs[i]).energies
+            spec = eigen_spectrum(model, cs[i])
+            roots = spec.energies[spec.warm_order]
             fresh = i
         rows[i] = roots
         i += 1
@@ -308,7 +313,7 @@ def order_parameter(model: EffectiveModel, lam_values, phi: float = 0.0) -> Orde
         if i and abs(s) > 2 * abs(lam[i - 1]):
             prev = None
         spec = eigen_spectrum(model, s * phase, warm_start=prev)
-        prev = spec.energies
+        prev = spec.energies[spec.warm_order]
         g0[i] = float(spec.widths.max())
     n = model.n
     deriv = np.gradient(g0, lam) / n

@@ -200,6 +200,7 @@ def test_runtime_needs_only_numpy_and_click(tmp_path):
         ("loop", "delta = 45"),
         ("loop", "delta = -45"),
         ("loop", "delta = nan"),
+        ("sweep", "ambiguity = foo"),
     ],
 )
 def test_bad_config_value_exits_2(tmp_path, command, text):

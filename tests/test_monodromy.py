@@ -10,7 +10,9 @@ from ep_atlas import (
     InvalidCouplingError,
     ThetaSingularError,
     build_picket_fence,
+    build_power_law,
     build_two_level,
+    expand_ep_set,
     find_eps,
     loop_ep,
     omega_comparison,
@@ -67,6 +69,24 @@ def test_empty_loop_is_identity():
     assert res.permutation == (0, 1)
     assert res.signs == (1, 1)
     assert res.enclosed == ()
+
+
+@pytest.mark.parametrize(
+    "k, perm, swapped",
+    [(0, (1, 0, 2, 3, 4, 5, 6), 1), (1, (0, 1, 2, 3, 4, 6, 5), 6), (2, (0, 1, 4, 3, 2, 5, 6), 4)],
+)
+def test_loop_labels_states_by_level(k, perm, swapped):
+    # the power law's centre level is bare; each loop swaps one coupled pair,
+    # and the labels are level indices, whatever order the states sort in
+    m = build_power_law(7, 1.0, 4.0)
+    reps = find_eps(m)
+    full = expand_ep_set(reps)
+    c = reps[k].coupling
+    others = np.append(full[np.abs(full - c) > 1e-12], reps[k].partner)
+    res = loop_ep(m, c, 0.3 * np.abs(others - c).min(), samples=256)
+    assert res.permutation == perm
+    assert res.signs == tuple(-1 if i == swapped else 1 for i in range(7))
+    assert res.matrix_error < 1e-10
 
 
 def test_contour_guards():

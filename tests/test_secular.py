@@ -357,13 +357,13 @@ def test_thread_shares_do_not_change_results(monkeypatch):
 def test_warm_order_is_the_greedy_order_on_accepted_steps(build, lams):
     m = build()
     bare = np.flatnonzero(m.couplings == 0)
-    prev = eigen_spectrum(m, lams[0]).energies
-    slot = [int(np.flatnonzero(prev == m.epsilons[d])[0]) for d in bare]
+    spec = eigen_spectrum(m, lams[0])
+    prev = spec.energies[spec.warm_order]
     accepted = 0
     for lam in lams[1:]:
         spec = eigen_spectrum(m, lam, warm_start=prev)
         new = spec.energies[spec.warm_order]
-        np.testing.assert_array_equal(new[slot], m.epsilons[bare])  # bare levels keep their index
+        np.testing.assert_array_equal(new[bare], m.epsilons[bare])  # bare levels keep their index
         if _matched(prev, new):  # the step test sweep applies before bisecting
             nearest = np.argmin(np.abs(prev[:, None] - new[None, :]), axis=1)
             np.testing.assert_array_equal(nearest, np.arange(new.size))
@@ -416,8 +416,10 @@ def test_unconverged_solve_raises_with_diagnostics(n, maxiter, warm):
         (build_two_level(0.0, 1.0, 20.0), 0.2, [0.0, 1.0]),
         (build_picket_fence(15), CouplingParameter(0.3, 30.0), None),
         (build_power_law(15, 1.0, 4.0), 0.5, None),
+        (build_two_level(0.0, 1.0, 20.0), 0.2, [1.0, 0.0]),  # each entry on the other level's pole
+        (build_picket_fence(15), 0.3, build_picket_fence(15).epsilons[::-1]),
     ],
-    ids=["two_level", "fence_complex", "power_law_split_off"],
+    ids=["two_level", "fence_complex", "power_law_split_off", "two_level_swapped", "fence_reversed"],
 )
 def test_warm_start_on_the_bare_levels_leaves_them(model, coupling, warm):
     # an iterate on a pole has a non-finite step; it must be reseeded, not frozen there
@@ -428,11 +430,12 @@ def test_warm_start_on_the_bare_levels_leaves_them(model, coupling, warm):
     assert got.residual < 1e-12
 
 
-def test_warm_seeds_skip_the_bare_level_entry(monkeypatch):
+def test_warm_seeds_are_the_level_ordered_entries(monkeypatch):
     # fig3's compensated chain: from lambda = 0.65 the bare level sorts off its
-    # index, and every coupled iterate must still start from its own warm entry
+    # index, and every coupled level k still starts from entry k of the level order
     m = build_power_law(101, 1.0, 4.0)
-    bare = m.epsilons[m.couplings == 0]
+    act = m.couplings != 0
+    d = np.flatnonzero(~act)[0]
     aberth = secular._aberth
     seeds = []
 
@@ -441,13 +444,17 @@ def test_warm_seeds_skip_the_bare_level_entry(monkeypatch):
         return aberth(eps, logderiv, z0, **kw)
 
     monkeypatch.setattr(secular, "_aberth", spy)
-    prev = eigen_spectrum(m, 0.6).energies
+    spec = eigen_spectrum(m, 0.6)
+    prev = spec.energies[spec.warm_order]
+    sorted_off = 0
     for lam in np.arange(0.605, 0.75, 0.005):
         seeds.clear()
         spec = eigen_spectrum(m, lam, warm_start=prev)
-        rest = np.delete(prev, np.flatnonzero(prev == bare[0])[0])
-        np.testing.assert_array_equal(np.sort(seeds[0]), np.sort(rest))
-        prev = spec.energies
+        np.testing.assert_array_equal(seeds[0], prev[act])
+        prev = spec.energies[spec.warm_order]
+        assert prev[d] == m.epsilons[d]
+        sorted_off += spec.energies[d] != m.epsilons[d]
+    assert sorted_off > 0
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from ep_atlas import (
     turning_points,
     width_partition,
 )
-from ep_atlas import trajectories
+from ep_atlas import secular, trajectories
 from ep_atlas.trajectories import _advance, _find_peaks
 from helpers import assert_complex_sets_close
 
@@ -37,6 +37,31 @@ def test_sweep_from_zero_coupling_leaves_the_bare_levels(model):
     assert traj.ambiguous_intervals == ()
     for row, c in zip(traj.energies[1:], lam[1:]):
         assert_complex_sets_close(row, eigen_spectrum(model, c).energies, atol=1e-12)
+
+
+def test_sweep_keeps_the_bare_level_in_its_column():
+    # the bare level sorts to position 49 at lambda = 0.7 and has index 50;
+    # a first row in sorted order would be seeded off level order and stop at (0.7, 0.705)
+    m = build_power_law(101, 1.0, 4.0)
+    lam = np.arange(0.70, 0.80, 0.005)
+    traj = sweep(m, lam, policy="raise")
+    bare = m.epsilons[m.couplings == 0][0]
+    col = np.flatnonzero(traj.energies[0] == bare)
+    assert col.size == 1 and np.all(traj.energies[:, col[0]] == bare)
+    for row, c in zip(traj.energies, lam):
+        assert_complex_sets_close(row, eigen_spectrum(m, c).energies, atol=1e-10)
+
+
+def test_sweep_rows_do_not_depend_on_the_sort(monkeypatch):
+    # mirror states on the imaginary axis sort by the sign of rounding noise;
+    # continuation reads the level order, so another valid sort moves no row
+    m = build_power_law(43, 1.0, 4.0)
+    lam = np.arange(5.0, 6.0, 0.01)
+    ref = sweep(m, lam, policy="sorted")
+    monkeypatch.setattr(secular, "_sorted_order", lambda e: np.lexsort((-e.imag, np.round(e.real, 9))))
+    got = sweep(m, lam, policy="sorted")
+    np.testing.assert_array_equal(got.energies, ref.energies)
+    assert got.ambiguous_intervals == ref.ambiguous_intervals
 
 
 def test_sweep_columns_are_continuous():
