@@ -13,8 +13,9 @@ the zeros of S'(E) are the roots of the polynomial
 
 of degree 2(N-1), and each zero E* yields its coupling as Lambda = i/S(E*).
 R is found with the spectrum's Ehrlich-Aberth engine (secular._aberth), fed
-the rational log-derivative R'/R = S''/S' + sum_k 2/(E - eps_k); then each
-pair (E*, Lambda*) is polished with a 2x2 Newton step on (S - i/Lambda, S').
+the rational log-derivative R'/R = S''/S' + sum_k 2/(E - eps_k); then two
+coupled Newton steps on (S - i/Lambda, S') from Lambda = i/S(E*) polish all
+roots at once, the second step's size being the residual.
 
 For real models R has real coefficients, so its roots come in conjugate
 pairs and the exceptional couplings are closed under Lambda -> -conj(Lambda).
@@ -23,7 +24,9 @@ broken toward Im Lambda >= 0); a model with N coupled levels has exactly
 N - 1 representatives, 2(N-1) points in total.  The two roots of R behind a
 representative are paired by distance, not by adjacency in a sort, because
 mirror-symmetric models produce distinct pairs whose Re Lambda tie to the
-last bit.  Levels with v_k = 0 are decoupled and take no part.
+last bit; for the same reason their order treats Re Lambda within
+1e-12*max(1, |Lambda|) as a tie, broken by Im Lambda.  Levels with v_k = 0
+are decoupled and take no part.
 """
 
 from __future__ import annotations
@@ -35,10 +38,9 @@ import numpy as np
 
 from .errors import IncompleteSearchError
 from .models import EffectiveModel, build_picket_fence
-from .secular import _aberth, _separate
+from .secular import _aberth, _cauchy_sums, _power_sums, _separate, _tie_order
 
 _TOL = 5e-14  # Aberth stopping tolerance for the roots of R
-_POLISH_ROUNDS = 40  # Newton steps of _polish before it returns its last residual
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,8 @@ class ExceptionalPoint:
     """One representative coalescence: coupling, degenerate energy, partner.
 
     partner is the mirror coupling -conj(coupling); pair_id numbers the
-    representatives in (Re, Im) order of the coupling.
+    representatives by Re coupling, real parts within
+    1e-12*max(1, |coupling|) being a tie ordered by Im coupling.
     """
 
     coupling: complex
@@ -77,36 +80,14 @@ def _gap_seeds(eps: np.ndarray, v2: np.ndarray) -> np.ndarray:
 
 
 def _r_logderiv(v2: np.ndarray):
-    """R'/R = S''/S' + 2*sum r, with S' = -sum r^2*v^2 and S'' = 2*sum r^3*v^2."""
+    """R'/R = S''/S' + 2*sum r, with S' = -sum v^2*r^2 and S'' = 2*sum v^2*r^3."""
     v2 = v2.astype(complex)
 
     def logderiv(r, m):
-        r2v = r * r
-        r2v *= v2
-        sp = r2v.sum(axis=1)
-        r2v *= r
-        return -2.0 * r2v.sum(axis=1) / sp + 2.0 * r.sum(axis=1)
+        _, s2, s3 = _power_sums(r, v2, 3)
+        return -2.0 * s3 / s2 + 2.0 * r.sum(axis=1)
 
     return logderiv
-
-
-def _polish(eps, v2, e, lam):
-    """Coupled Newton on (S - i/Lambda, S'); returns (E, Lambda, step residual)."""
-    res = np.inf
-    for _ in range(_POLISH_ROUNDS):
-        d = e - eps
-        s = (v2 / d).sum()
-        sp = -(v2 / d**2).sum()
-        spp = 2.0 * (v2 / d**3).sum()
-        f1 = s - 1j / lam
-        de = -sp / spp
-        dl = 1j * (f1 + sp * de) * lam * lam
-        e = e + de
-        lam = lam + dl
-        res = abs(de) / (1.0 + abs(e)) + abs(dl) / (1.0 + abs(lam))
-        if res < 1e-15:
-            break
-    return e, lam, res
 
 
 def _canonical(e: complex, lam: complex) -> tuple[complex, complex]:
@@ -120,10 +101,11 @@ def _canonical(e: complex, lam: complex) -> tuple[complex, complex]:
 def find_eps(model: EffectiveModel) -> list[ExceptionalPoint]:
     """All exceptional-point representatives of the model, one per mirror pair.
 
-    Returns N_active - 1 points sorted by (Re, Im) of the coupling, each
-    polished to a step residual well below 1e-9.  Raises IncompleteSearchError
-    (carrying the pairs that formed) if the one Aberth attempt from the gap
-    seeds does not converge or its roots do not pair into the full set.
+    Returns N_active - 1 points sorted by Re coupling, ties in Re ordered by
+    Im, each with the size of its last Newton step as residual (rounding
+    noise, well below 1e-9).  Raises IncompleteSearchError (carrying the
+    pairs that formed) if the one Aberth attempt from the gap seeds does not
+    converge or its roots do not pair into the full set.
     """
     eps, v2 = _active(model)
     m = eps.size
@@ -133,10 +115,17 @@ def find_eps(model: EffectiveModel) -> list[ExceptionalPoint]:
     roots, _, ok, _ = _aberth(eps, _r_logderiv(v2), z0, maxiter=600, tol=_TOL)
     pts = []
     if ok:
-        for z in roots:
-            s = (v2 / (z - eps)).sum()
-            e, lam, res = _polish(eps, v2, z, 1j / s)
-            pts.append(_canonical(e, lam) + (res,))
+        # coupled Newton on (S - i/Lambda, S') from Lambda = i/S: the roots solve S' = 0 to _TOL, so
+        # the first step reaches rounding and the size of the second is the residual
+        e, lam = roots, None
+        for _ in range(2):
+            s, s2, s3 = _cauchy_sums(e, eps, v2, 3)  # S, -S' and S''/2
+            lam = 1j / s if lam is None else lam
+            de = s2 / (2.0 * s3)
+            dl = 1j * (s - 1j / lam - s2 * de) * lam * lam
+            e, lam = e + de, lam + dl
+        res = np.abs(de) / (1.0 + np.abs(e)) + np.abs(dl) / (1.0 + np.abs(lam))
+        pts = [_canonical(a, b) + (c,) for a, b, c in zip(e, lam, res)]
     reps = _cluster(pts)
     if len(reps) == m - 1:
         return reps
@@ -168,14 +157,19 @@ def _cluster(pts) -> list[ExceptionalPoint]:
         used[j[0]] = True
         a, b = pts[i], pts[j[0]]
         reps.append(((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0, max(a[2], b[2])))
-    reps.sort(key=lambda p: (p[1].real, p[1].imag))
+    reps = [reps[j] for j in _coupling_order(np.array([p[1] for p in reps], dtype=complex))]
     return [ExceptionalPoint(lam, e, -np.conj(lam), res, i) for i, (e, lam, res) in enumerate(reps)]
 
 
+def _coupling_order(lam: np.ndarray) -> np.ndarray:
+    """Order by Re Lambda, where Re Lambda within 1e-12*max(1, |Lambda|) is a tie ordered by Im Lambda."""
+    return _tie_order(lam.real, lam.imag, np.maximum(1.0, np.abs(lam)))
+
+
 def expand_ep_set(reps: list[ExceptionalPoint]) -> np.ndarray:
-    """Full coupling set (both mirror partners), sorted by (Re, Im)."""
+    """Full coupling set (both mirror partners), in the order of find_eps (Re, ties by Im)."""
     full = np.array([p.coupling for p in reps] + [p.partner for p in reps], dtype=complex)
-    return full[np.lexsort((full.imag, full.real))]
+    return full[_coupling_order(full)]
 
 
 def two_level_eps(eps1: float, eps2: float, omega_deg: float) -> ExceptionalPoint:
@@ -223,8 +217,9 @@ def accumulation_scan(n_values, *, target: float | None = None) -> AccumulationR
     outliers (|Im Lambda| above three times the median, the ones tied to the
     fence edges) are dropped, and the minimum distance of the rest to the
     target is recorded.  Default target is the infinite-fence critical
-    coupling 1/pi.  The estimate returned is Re Lambda of the closest point
-    at the largest size.
+    coupling 1/pi; of a mirror pair tied in distance, the first in find_eps
+    order is the closest.  The estimate returned is Re Lambda of the closest
+    point at the largest size.
     """
     tgt = (1.0 / math.pi) if target is None else float(target)
     rows: list[AccumulationRow] = []
@@ -236,7 +231,7 @@ def accumulation_scan(n_values, *, target: float | None = None) -> AccumulationR
         keep = np.abs(lam.imag) <= 3.0 * med if med > 0 else np.ones(lam.size, bool)
         lam_near = lam[keep]
         dist = np.abs(lam_near - tgt)
-        j = int(np.argmin(dist))
+        j = int(np.flatnonzero(dist - dist.min() <= 1e-12 * np.maximum(1.0, np.abs(lam_near)))[0])
         rows.append(
             AccumulationRow(
                 n=n,

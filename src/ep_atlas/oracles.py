@@ -1,10 +1,10 @@
 """Independent references that the test suite checks the solvers against.
 
-dense_oracle builds H explicitly and roots its characteristic polynomial in
-multiprecision (mpmath); resultant_oracle eliminates the energy exactly
-(sympy).  Neither shares a code path with the Ehrlich-Aberth engine, and
-neither runs in the CLI: mpmath and sympy come with the package's `test`
-extra and are imported only when an oracle is called.
+dense_oracle builds H explicitly and diagonalizes it in multiprecision
+(mpmath); resultant_oracle eliminates the energy exactly (sympy).  Neither
+shares a code path with the Ehrlich-Aberth engine, and neither runs in the
+CLI: mpmath and sympy come with the package's `test` extra and are imported
+only when an oracle is called.
 """
 
 from __future__ import annotations
@@ -17,17 +17,13 @@ from .models import EffectiveModel
 from .secular import _as_lambda, _sorted_order
 
 
-def _mp_trace(m) -> "mp.mpc":
-    return sum(m[i, i] for i in range(m.rows))
-
-
 def dense_oracle(model: EffectiveModel, coupling, dps: int = 40) -> np.ndarray:
-    """Eigenvalues from the dense characteristic polynomial in 40-digit arithmetic.
+    """Eigenvalues of the dense Hamiltonian in 40-digit arithmetic.
 
-    Independent route: builds H explicitly, extracts the characteristic
-    polynomial with the Faddeev-LeVerrier recursion, and calls a general
-    polynomial root finder.  Shares no code path with the secular iteration.
-    Intended for cross checks at modest N; cost grows like N^4 multiplies.
+    Independent route: builds H explicitly and diagonalizes it with mpmath's
+    eigensolver (Hessenberg reduction and shifted QR).  Shares no code path
+    with the secular iteration.  Intended for cross checks at modest N; cost
+    grows like N^3 multiprecision multiplies.
     """
     from mpmath import mp
 
@@ -40,15 +36,7 @@ def dense_oracle(model: EffectiveModel, coupling, dps: int = 40) -> np.ndarray:
             for j in range(n):
                 h[i, j] = -1j * lam_mp * mp.mpf(float(model.couplings[i])) * mp.mpf(float(model.couplings[j]))
             h[i, i] += mp.mpf(float(model.epsilons[i]))
-        coeffs = [mp.mpc(1)]
-        m = mp.eye(n)
-        for k in range(1, n + 1):
-            hm = h * m
-            ak = -_mp_trace(hm) / k
-            coeffs.append(ak)
-            m = hm + ak * mp.eye(n)
-        roots = mp.polyroots(coeffs, maxsteps=200, extraprec=60)
-        out = np.array([complex(r) for r in roots], dtype=complex)
+        out = np.array([complex(x) for x in mp.eig(h, left=False, right=False)], dtype=complex)
     return out[_sorted_order(out)]
 
 

@@ -57,7 +57,13 @@ where condition = |psi^T psi| / <psi|psi> of the raw vector.  It is >= 1 and
 measures how far the state is from the Hermitian limit.  Both per-state
 numbers come from one pass over row blocks of r, so the norms (and the B
 measure built on them) need no N x N matrix; the eigenvector matrix itself
-is built only when Spectrum.vectors is first read.
+is built only when Spectrum.vectors is first read, from the psi^T psi of
+that pass.
+
+Every blocked secular sum goes through one kernel (_power_sums on a row
+block, _cauchy_sums at any points): sum w r^p for p = 1..top, each power one
+product from the last, plus sum |w r^p| for a rounding bound.  Only the cold
+seeds' S'(m) (_slope) and the eigenvector matrix keep their own forms.
 """
 
 from __future__ import annotations
@@ -108,16 +114,12 @@ def secular_eval(model: EffectiveModel, energy, coupling) -> np.ndarray | comple
     scalar = e.ndim == 0
     e = np.atleast_1d(e)
     eps = model.epsilons
-    v2 = model.couplings**2
     scale = max(1.0, float(np.max(np.abs(eps))))
-    rows = max(1, _BLOCK // eps.size)
-    s = np.empty(e.size, dtype=complex)
-    for b0 in range(0, e.size, rows):
-        d = e[b0 : b0 + rows, None] - eps[None, :]
-        if np.min(np.abs(d)) < 1e-14 * scale:
-            raise PoleProximityError("energy within 1e-14 of an unperturbed level; secular form is singular there")
-        s[b0 : b0 + rows] = (v2[None, :] / d).sum(axis=1)
-    out = s - 1j / lam
+    j = np.searchsorted(eps, e.real)  # the nearest level is eps[j - 1] or eps[j]
+    near = np.minimum(np.abs(e - eps[np.maximum(j - 1, 0)]), np.abs(e - eps[np.minimum(j, eps.size - 1)]))
+    if np.any(near < 1e-14 * scale):
+        raise PoleProximityError("energy within 1e-14 of an unperturbed level; secular form is singular there")
+    out = _cauchy_sums(e, eps, model.couplings**2, 1)[0] - 1j / lam
     return complex(out[0]) if scalar else out
 
 
@@ -177,7 +179,7 @@ def _over_shares(fn: Callable[[list], None], nrows: int, width: int) -> None:
     then does not depend on the split.
     """
     threads = _THREADS if nrows * width > _BLOCK else 1
-    rows = max(1, _BLOCK // (threads * width))
+    rows = max(1, _BLOCK // max(1, threads * width))
     blocks = [(lo, min(lo + rows, nrows)) for lo in range(0, nrows, rows)]
     shares = min(threads, len(blocks))
     if shares <= 1:
@@ -198,6 +200,45 @@ def _over_shares(fn: Callable[[list], None], nrows: int, width: int) -> None:
         wait(futures)
     for f in futures:
         f.result()
+
+
+def _power_sums(r: np.ndarray, w: np.ndarray, top: int, mag: int = 0):
+    """Row sums sum_j w_j r_ij^p of a row block r for p = 1..top, as a list of top arrays.
+
+    Each power is one product from the last, (w*r)*r*..., so the sums for
+    p = 1 and 2 are S and -S' when r = 1/(x - eps) and w = v^2.  With mag = p,
+    also returns the row sums of |w r^p|, the scale of the rounding error of
+    the p-th sum.
+    """
+    t = r * w
+    sums = []
+    for p in range(1, top + 1):
+        if p > 1:
+            t *= r
+        sums.append(t.sum(axis=1))
+        if p == mag:
+            size = np.abs(t).sum(axis=1)
+    return (sums, size) if mag else sums
+
+
+def _cauchy_sums(x: np.ndarray, eps: np.ndarray, w: np.ndarray, top: int, mag: int = 0):
+    """_power_sums of r = 1/(x - eps) at the points x as a (top, x.size) array, in row blocks over _over_shares."""
+    eps = eps.astype(complex)
+    w = w.astype(complex)
+    sums = np.empty((top, x.size), dtype=complex)
+    size = np.empty(x.size)
+
+    def run(blocks):
+        for lo, hi in blocks:
+            r = x[lo:hi, None] - eps[None, :]
+            np.reciprocal(r, out=r)
+            if mag:
+                sums[:, lo:hi], size[lo:hi] = _power_sums(r, w, top, mag)
+            else:
+                sums[:, lo:hi] = _power_sums(r, w, top)
+
+    _over_shares(run, x.size, eps.size)
+    return (sums, size) if mag else sums
 
 
 def _nearest_gap(z: np.ndarray) -> np.ndarray:
@@ -355,39 +396,30 @@ def _spectrum_logderiv(v2: np.ndarray, lam):
     il, nil = 1j * lam, -1j * lam
 
     def logderiv(r, m):
-        rv = r * v2
-        g = 1.0 + il[m] * rv.sum(axis=1)
-        rv *= r
-        gp = nil[m] * rv.sum(axis=1)
-        return r.sum(axis=1) + gp / g
+        s = _power_sums(r, v2, 2)
+        return r.sum(axis=1) + nil[m] * s[1] / (1.0 + il[m] * s[0])
 
     return logderiv
 
 
-def _slope(x: np.ndarray, eps: np.ndarray, v2: np.ndarray, magnitude: bool = False):
-    """S'(x) = -sum v^2/(x - eps)^2 at real or complex points x, in place in one row-block buffer.
-
-    With magnitude, also returns sum |v^2/(x - eps)|, the scale of the rounding error of S(x).
-    """
+def _slope(x: np.ndarray, eps: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """S'(x) = -sum v^2/(x - eps)^2 at real points x, in place in one row-block buffer."""
     rows = max(1, _BLOCK // eps.size)
-    out = np.empty(x.size, dtype=x.dtype)
-    mag = np.empty(x.size)
-    buf = np.empty((min(rows, x.size), eps.size), dtype=x.dtype)
+    out = np.empty(x.size)
+    buf = np.empty((min(rows, x.size), eps.size))
     for b0 in range(0, x.size, rows):
         d = buf[: min(rows, x.size - b0)]
         np.subtract(x[b0 : b0 + rows, None], eps[None, :], out=d)
-        if magnitude:
-            mag[b0 : b0 + rows] = (v2 / np.abs(d)).sum(axis=1)
         np.square(d, out=d)
         np.divide(v2, d, out=d)
         out[b0 : b0 + rows] = -d.sum(axis=1)
-    return (out, mag) if magnitude else out
+    return out
 
 
 def _step_floor(eps: np.ndarray, v2: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Rounding bound u*sum|v^2 r|/|S'| of a secular Newton step at each point z, r = 1/(z - eps)."""
-    slope, mag = _slope(z, eps, v2, magnitude=True)
-    return np.finfo(float).eps * mag / np.abs(slope)
+    s, size = _cauchy_sums(z, eps, v2, 2, mag=1)
+    return np.finfo(float).eps * size / np.abs(s[1])
 
 
 def _seeds(eps: np.ndarray, v2: np.ndarray, lam: complex) -> np.ndarray:
@@ -431,40 +463,23 @@ def _sorted_order(e: np.ndarray) -> np.ndarray:
     return np.lexsort((e.imag, e.real))
 
 
-def _raw_overlaps(e: np.ndarray, eps: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """psi^T psi = sum v^2 r^2 and <psi|psi> = sum v^2 |r|^2 of each raw vector psi = v*r.
-
-    r = 1/(e - eps) is formed one row block at a time (one row per state, at
-    most _BLOCK entries), so memory stays O(N*B).
-    """
-    eps = eps.astype(complex)
-    v2c = v2.astype(complex)
-    bil = np.empty(e.size, dtype=complex)
-    herm = np.empty(e.size)
-
-    def run(blocks):
-        for lo, hi in blocks:
-            r = e[lo:hi, None] - eps[None, :]
-            np.reciprocal(r, out=r)
-            herm[lo:hi] = ((r.real**2 + r.imag**2) * v2).sum(axis=1)
-            r *= r
-            r *= v2c
-            bil[lo:hi] = r.sum(axis=1)
-
-    _over_shares(run, e.size, eps.size)
-    return bil, herm
+def _tie_order(key: np.ndarray, then: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Sort order by key, where a key within 1e-12*scale of the one before it ties and then orders the tie."""
+    o = np.argsort(key, kind="stable")
+    group = np.cumsum(np.diff(key[o], prepend=-np.inf) > 1e-12 * scale[o])
+    return o[np.lexsort((then[o], group))]
 
 
-def _c_normalized_vectors(order, act, cols, e, eps_a, v_a) -> np.ndarray:
+def _c_normalized_vectors(order, act, cols, e, eps_a, v_a, bil) -> np.ndarray:
     """N x N matrix of c-normalized eigenvectors, one column per sorted state.
 
     order is the sort permutation of the energies, act marks the coupled
-    levels, cols the sorted positions of the coupled states and e their
-    energies.  A coupled state's column is psi/sqrt(psi^T psi) with
-    psi = v/(E - eps) on the coupled levels, signed so that its
-    largest-modulus entry (the first one on ties) has positive real part, or
-    positive imaginary part when the real part is zero.  A decoupled level
-    keeps its exact basis column.
+    levels, cols the sorted positions of the coupled states, e their
+    energies and bil their psi^T psi from the norm pass.  A coupled state's
+    column is psi/sqrt(psi^T psi) with psi = v/(E - eps) on the coupled
+    levels, signed so that its largest-modulus entry (the first one on ties)
+    has positive real part, or positive imaginary part when the real part is
+    zero.  A decoupled level keeps its exact basis column.
     """
     n = order.size
     vec = np.zeros((n, n), dtype=complex)
@@ -475,7 +490,7 @@ def _c_normalized_vectors(order, act, cols, e, eps_a, v_a) -> np.ndarray:
     for b0 in range(0, cols.size, rows):
         d = e[b0 : b0 + rows, None] - eps_a[None, :]
         psi = v_a[None, :] / d
-        psi /= np.sqrt(((v_a**2)[None, :] / d**2).sum(axis=1))[:, None]
+        psi /= np.sqrt(bil[b0 : b0 + rows])[:, None]
         piv = psi[np.arange(psi.shape[0]), np.argmax(np.abs(psi), axis=1)]
         flip = (piv.real < 0) | ((piv.real == 0) & (piv.imag < 0))
         psi[flip] = -psi[flip]
@@ -614,16 +629,16 @@ def eigen_spectrum(
     e_act = e_sorted[cols]
     norms = np.ones(n)
     cond = np.full(n, np.inf)
-    if cols.size:
-        bil, herm = _raw_overlaps(e_act, eps[act], v[act] ** 2)
-        cond[cols] = np.abs(bil) / herm
-        ill = cols[cond[cols] < _NORM_FLOOR]
-        if ill.size:
-            raise IllConditionedNormalizationError(
-                "states too close to an exceptional point for c-normalization",
-                state_indices=tuple(int(c) for c in ill),
-            )
-        norms[cols] = 1.0 / cond[cols]
+    sums, herm = _cauchy_sums(e_act, eps[act], v[act] ** 2, 2, mag=2)
+    bil = sums[1]  # psi^T psi = sum v^2 r^2, and herm = <psi|psi> = sum v^2 |r|^2
+    cond[cols] = np.abs(bil) / herm
+    ill = cols[cond[cols] < _NORM_FLOOR]
+    if ill.size:
+        raise IllConditionedNormalizationError(
+            "states too close to an exceptional point for c-normalization",
+            state_indices=tuple(int(c) for c in ill),
+        )
+    norms[cols] = 1.0 / cond[cols]
     return Spectrum(
         energies=e_sorted,
         iterations=its,
@@ -631,7 +646,7 @@ def eigen_spectrum(
         warm_order=warm_order,
         hermitian_norms=norms,
         condition=cond,
-        _build_vectors=partial(_c_normalized_vectors, order, act, cols, e_act, eps[act], v[act]),
+        _build_vectors=partial(_c_normalized_vectors, order, act, cols, e_act, eps[act], v[act], bil),
     )
 
 

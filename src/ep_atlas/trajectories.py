@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InvalidCouplingError, TrajectoryAmbiguityError
 from .models import EffectiveModel, phase_factor
-from .secular import _BLOCK, _continue_batch, _nearest_gap, eigen_spectrum
+from .secular import _BLOCK, _continue_batch, _nearest_gap, _tie_order, eigen_spectrum
 
 _MATCH_FACTOR = 0.45
 _MAX_BISECT = 24  # halvings of a rejected step before it counts as ambiguous
@@ -229,13 +229,8 @@ def turning_points(traj: Trajectory) -> list[TurningPoint]:
     for k in range(traj.n_states):
         for i in _find_peaks(g[:, k], _PROMINENCE):
             out.append(TurningPoint(state=k, lam=_vertex(traj.lambdas, g[:, k], i), width=float(g[i, k])))
-    if not out:
-        return out
-    out.sort(key=lambda t: t.lam)
     lam = np.array([t.lam for t in out])
-    tie = np.diff(lam) <= 1e-12 * np.maximum(1.0, np.abs(lam[1:]))
-    group = np.concatenate(([0], np.cumsum(~tie)))
-    return [out[j] for j in np.lexsort(([t.state for t in out], group))]
+    return [out[j] for j in _tie_order(lam, np.array([t.state for t in out]), np.maximum(1.0, np.abs(lam)))]
 
 
 def broad_index(energies: np.ndarray) -> int:

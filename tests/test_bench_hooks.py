@@ -1,9 +1,10 @@
 """The names the bench tracer wraps at run time still exist in the library.
 
-bench/tracer.py replaces library functions by (module, attribute) and reads
-the default of eigen_spectrum's tol; a rename or a dropped import would
-otherwise break traced bench runs without any failing test.  The tracer
-source is executed from its file, so no bytecode is written under bench/.
+bench/tracer.py replaces library functions by (module, attribute), reads
+the default of eigen_spectrum's tol and forwards its compute_vectors and
+warm_start keywords by name; a rename or a dropped import would otherwise
+break traced bench runs without any failing test.  The tracer source is
+executed from its file, so no bytecode is written under bench/.
 """
 
 import importlib
@@ -27,3 +28,9 @@ def test_every_tracer_target_resolves():
 def test_eigen_spectrum_keeps_a_tol_default():
     tol = inspect.signature(secular.eigen_spectrum).parameters["tol"]
     assert isinstance(tol.default, float)
+
+
+def test_eigen_spectrum_keeps_the_keywords_the_tracer_forwards():
+    params = inspect.signature(secular.eigen_spectrum).parameters
+    for name in ("compute_vectors", "warm_start"):
+        assert params[name].kind in (inspect.Parameter.KEYWORD_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD), name

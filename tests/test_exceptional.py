@@ -1,6 +1,7 @@
 """Exceptional-point location against exact resultants and closed forms."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -142,6 +143,77 @@ def test_compensated_power_law_has_full_set(n):
         assert abs(sp) <= 1e-8 * (v2 / np.abs(d) ** 2).sum()
 
 
+
+
+# Models whose search for the roots of R runs past iteration 25, where the stall kick of _aberth fires.
+STALL_KICK_MODELS = [(2.0, 6.0, n) for n in (15, 43, 101, 201)] + [(0.0, 1.5, n) for n in (43, 101, 201)]
+
+
+@pytest.mark.parametrize("r, t, n", STALL_KICK_MODELS)
+def test_every_ep_solves_the_double_root_equations(monkeypatch, r, t, n):
+    # S = i/Lambda and S' = 0 by direct summation, to rounding of the sums
+    calls = _spy_aberth(monkeypatch, lambda roots, ok: (roots, ok))
+    m = build_power_law(n, r, t)
+    act = m.couplings != 0.0
+    eps, v2 = m.epsilons[act], m.couplings[act] ** 2
+    reps = find_eps(m)
+    assert calls[0] > 25
+    assert len(reps) == eps.size - 1
+    for p in reps:
+        d = p.energy - eps
+        assert abs((v2 / d).sum() - 1j / p.coupling) <= 1e-12 * (v2 / np.abs(d)).sum()
+        assert abs((v2 / d**2).sum()) <= 1e-12 * (v2 / np.abs(d) ** 2).sum()
+        assert p.residual <= 1e-12
+
+
+def _tied(lam):
+    """Indices k where lam[k] and lam[k + 1] tie in Re Lambda."""
+    return [k for k in range(lam.size - 1) if abs(lam[k + 1].real - lam[k].real) <= 1e-12 * max(1.0, abs(lam[k + 1]))]
+
+
+def test_tied_couplings_come_out_with_im_ascending():
+    reps = find_eps(build_picket_fence(43))
+    for lam in (np.array([p.coupling for p in reps]), expand_ep_set(reps)):
+        ties = _tied(lam)
+        assert len(ties) >= 10
+        for k in ties:
+            assert lam[k].imag < lam[k + 1].imag
+
+
+def _nudged(reps, j, direction):
+    """reps with Re of representative j's coupling moved by one ulp toward direction."""
+    lam = reps[j].coupling
+    lam = complex(np.nextafter(lam.real, direction), lam.imag)
+    return reps[:j] + [dataclasses.replace(reps[j], coupling=lam, partner=-np.conj(lam))] + reps[j + 1 :]
+
+
+@pytest.mark.parametrize("direction", [-np.inf, np.inf])
+def test_one_ulp_in_re_lambda_keeps_the_order(direction):
+    reps = find_eps(build_picket_fence(43))
+    lam = np.array([p.coupling for p in reps])
+    want = expand_ep_set(reps)
+    for k in _tied(lam):
+        for j in (k, k + 1):
+            nudged = _nudged(reps, j, direction)
+            got = np.array([p.coupling for p in nudged])
+            np.testing.assert_array_equal(exceptional._coupling_order(got), np.arange(lam.size))
+            full = expand_ep_set(nudged)
+            np.testing.assert_array_equal(full.imag, want.imag)
+            np.testing.assert_allclose(full.real, want.real, rtol=1e-15)
+
+
+@pytest.mark.parametrize("direction", [-np.inf, np.inf])
+def test_accumulation_closest_point_ignores_one_ulp(monkeypatch, direction):
+    reps = find_eps(build_picket_fence(27))
+    row = accumulation_scan([27]).rows[0]
+    dist = np.abs(np.array([p.coupling for p in reps]) - 1.0 / math.pi)
+    pair = np.flatnonzero(dist - row.min_distance <= 1e-12)
+    assert pair.size == 2  # a mirror pair, Lambda and conj(Lambda), is closest
+    assert row.closest.imag < 0  # its first member in find_eps order
+    for j in pair:
+        nudged = _nudged(reps, int(j), direction)
+        monkeypatch.setattr(exceptional, "find_eps", lambda model: nudged)
+        assert accumulation_scan([27]).rows[0].closest.imag == row.closest.imag
 
 
 def _spy_aberth(monkeypatch, alter):

@@ -181,6 +181,21 @@ def test_pole_guard_and_zero_coupling_eval():
         secular_eval(m, 0.25, CouplingParameter(0.0, 0.0))
 
 
+@pytest.mark.parametrize("build", [lambda: build_picket_fence(9), lambda: build_power_law(15, 1.0, 4.0)])
+def test_secular_eval_pole_check_finds_the_nearest_level(build):
+    m = build()
+    eps = m.epsilons
+    scale = max(1.0, float(np.max(np.abs(eps))))
+    turn = np.exp(0.7j)
+    # below the first level, next to the central one, above the last
+    for level, way in ((eps[0], -turn.conjugate()), (eps[eps.size // 2], turn), (eps[-1], turn)):
+        with pytest.raises(PoleProximityError):
+            secular_eval(m, level + 0.5e-14 * scale * way, 0.3)
+        with pytest.raises(PoleProximityError):
+            secular_eval(m, [0.5 * (eps[0] + eps[1]), level + 0.5e-14 * scale * way], 0.3)
+        assert np.isfinite(secular_eval(m, level + 1e-13 * scale * way, 0.3))
+
+
 def test_normalization_blows_up_at_coalescence():
     # exactly at the two-level exceptional coupling psi^T psi -> 0
     ep = two_level_eps(0.0, 1.0, 30.0)
@@ -195,6 +210,24 @@ def test_oracle_matches_across_sizes():
         m = build_picket_fence(n)
         lam = CouplingParameter(0.45, 25.0)
         np.testing.assert_allclose(eigen_spectrum(m, lam).energies, dense_oracle(m, lam), atol=1e-10)
+
+
+# One model of each family but the fence, against the 40-digit oracle; the
+# power law's central level decouples and stays at exactly zero.
+ORACLE_MODELS = {
+    "power_law": lambda: build_power_law(15, 1.0, 4.0),
+    "perturbed_fence": lambda: build_perturbed_fence(15, 0.3, 11),
+    "poisson_ensemble": lambda: build_spacing_ensemble(15, "poisson", 5),
+    "two_level": lambda: build_two_level(-0.5, 1.0, 25.0),
+}
+
+
+@pytest.mark.parametrize("coupling", [CouplingParameter(0.5, 20.0), CouplingParameter(2.0, 0.0)])
+@pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+def test_every_model_family_agrees_with_the_dense_oracle(name, coupling):
+    m = ORACLE_MODELS[name]()
+    scale = max(1.0, float(np.abs(m.epsilons).max()), abs(coupling.value) * m.coupling_strength)
+    assert_complex_sets_close(eigen_spectrum(m, coupling).energies, dense_oracle(m, coupling), atol=1e-12 * scale)
 
 
 # Beyond the fence: a power law whose odd-n central level decouples, a Poisson
@@ -307,7 +340,8 @@ def test_row_blocks_do_not_change_results(monkeypatch):
 
 
 def _split_run(monkeypatch, threads):
-    # a cold and a warm N=1001 solve with vectors, and an N=301 EP search with its iteration count
+    # a cold and a warm N=1001 solve with vectors, an N=301 EP search with its iteration count and
+    # residuals, and the secular function at the 1001 warm roots
     monkeypatch.setattr(secular, "_THREADS", threads)
     m = build_perturbed_fence(1001, 0.1, 3)
     cold = eigen_spectrum(m, CouplingParameter(0.3, 10.0))
@@ -321,9 +355,11 @@ def _split_run(monkeypatch, threads):
 
     monkeypatch.setattr(exceptional, "_aberth", spy)
     eps = find_eps(build_picket_fence(301))
+    assert warm.n * m.n > secular._BLOCK  # secular_eval splits its rows
     return (
         cold.energies, cold.iterations, warm.energies, warm.iterations, warm.hermitian_norms, warm.condition,
-        np.array([p.coupling for p in eps]), np.array([p.energy for p in eps]), its,
+        np.array([p.coupling for p in eps]), np.array([p.energy for p in eps]), np.array([p.residual for p in eps]),
+        its, secular_eval(m, warm.energies, 0.3),
     )
 
 
