@@ -109,17 +109,36 @@ def _column_text(column) -> list[str]:
 
 
 def write_json(path, meta: dict, columns: dict) -> Path:
-    """JSON mirror of write_csv with the same determinism guarantees."""
+    """JSON mirror of write_csv with the same determinism guarantees.
+
+    The bytes are those of json.dump({"columns": columns, "meta": meta},
+    sort_keys=True, indent=1) plus a newline, but each column is converted
+    and written _ROWS cells at a time, so memory does not grow with the table.
+    """
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
-    doc = {
-        "meta": {k: meta[k] for k in sorted(meta)},
-        "columns": {k: [_json_cell(v) for v in _cells(columns[k])] for k in columns},
-    }
     with open(p, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write('{\n "columns": {')
+        sep = "\n  "
+        for k in sorted(columns):
+            fh.write(sep + json.dumps(k) + ": ")
+            _write_json_list(fh, columns[k])
+            sep = ",\n  "
+        fh.write("\n }" if columns else "}")
+        fh.write(',\n "meta": ' + json.dumps(meta, sort_keys=True, indent=1).replace("\n", "\n ") + "\n}\n")
     return p
+
+
+def _write_json_list(fh, column) -> None:
+    """Write one column as json.dump(..., indent=1) writes a list two levels deep."""
+    if len(column) == 0:
+        fh.write("[]")
+        return
+    fh.write("[")
+    for a in range(0, len(column), _ROWS):
+        text = json.dumps([_json_cell(v) for v in _cells(column[a : a + _ROWS])], indent=1)
+        fh.write(("," if a else "") + text[1:-2].replace("\n", "\n  "))  # the items, without "[" and "\n]"
+    fh.write("\n  ]")
 
 
 def _cells(column) -> list:

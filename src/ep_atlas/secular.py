@@ -264,6 +264,25 @@ def _nearest_gap(z: np.ndarray) -> np.ndarray:
     return near.reshape(np.shape(z))
 
 
+def _crowded(z: np.ndarray, tol: float) -> np.ndarray:
+    """Indices, ascending, of the points of the row z that lie within tol of another one.
+
+    The same set as np.flatnonzero(_nearest_gap(z) < tol), found in sorted
+    order: points k places apart by real part are compared for k = 1, 2, ...
+    while some pair k apart is closer than tol in real part alone.
+    """
+    o = np.argsort(z.real, kind="stable")
+    zs = z[o]
+    near = np.zeros(z.size, dtype=bool)
+    k = 1
+    while k < z.size and (zs.real[k:] - zs.real[:-k] < tol).any():
+        pair = np.abs(zs[k:] - zs[:-k]) < tol
+        near[k:] |= pair
+        near[:-k] |= pair
+        k += 1
+    return np.sort(o[near])
+
+
 def _separate(z: np.ndarray, jitter: complex) -> np.ndarray:
     """Push apart iterates closer than 1e-12*scale, in place, so the repulsion term is finite.
 
@@ -271,7 +290,7 @@ def _separate(z: np.ndarray, jitter: complex) -> np.ndarray:
     """
     scale = max(1.0, float(np.abs(z).max()))
     for _ in range(3):
-        bad = np.flatnonzero(_nearest_gap(z) < 1e-12 * scale)
+        bad = _crowded(z, 1e-12 * scale)
         if bad.size == 0:
             break
         z[bad] += (np.arange(bad.size) + 1) * 1e-6 * scale * jitter
@@ -648,6 +667,54 @@ def eigen_spectrum(
         condition=cond,
         _build_vectors=partial(_c_normalized_vectors, order, act, cols, e_act, eps[act], v[act], bil),
     )
+
+
+def _broadest_root(model: EffectiveModel, coupling) -> complex | None:
+    """The energy of the broadest state when one root certifies itself, else None.
+
+    For Re Lambda > 0 the anti-Hermitian part of H is -Re Lambda * v v^T <= 0,
+    so every width is >= 0, and the trace fixes their sum at
+    2 Re Lambda * sum v^2.  A root wider than half that sum is therefore the
+    unique broadest state.  Newton (one _aberth iterate) runs on
+    h(E) = 1/S(E) + i*Lambda, whose zeros are the roots and which stays
+    finite at the levels, from the collective seed c - i*Lambda*sum v^2,
+    c = sum eps v^2 / sum v^2.  None when Re Lambda <= 0, when no level
+    couples, or when the iterate does not converge within 30 steps to a root
+    past that half by more than its distance from the root can account for:
+    the caller then solves for all N roots.
+    """
+    lam = _as_lambda(coupling)
+    act = model.couplings != 0.0
+    if lam.real <= 0 or not act.any():
+        return None
+    eps = model.epsilons[act]
+    v2 = model.couplings[act] ** 2
+    tot = v2.sum()
+    il = 1j * lam
+    w = v2.astype(complex)
+
+    def logderiv(r, m):  # h'/h = sum v^2 r^2 / (S * (1 + i*Lambda*S))
+        s = _power_sums(r, w, 2)
+        return s[1] / (s[0] * (1.0 + il * s[0]))
+
+    seed = [(eps * v2).sum() / tot - il * tot]
+    root, _, ok, _ = _aberth(eps, logderiv, seed, maxiter=30, floor=partial(_step_floor, eps, v2))
+    top = complex(root[0])
+    if not ok:
+        return None
+    # How far top may lie from the root: _aberth's stop does not bound it, since its test is
+    # relative to 1 + |E| and it stops on any non-finite step, which h = 0 gives at a root but
+    # h' = 0 (or an overflow next to a level) anywhere.  One more Newton step and its rounding
+    # bound do: the root is within |step| + bound of top, or twice that for a double root (two
+    # states of half the width each, at an exceptional point), so a width past half by twice
+    # that, with finite sums, is certified.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s, size = _cauchy_sums(np.array([top]), eps, v2, 2, mag=1)
+        s, size = s[:, 0], size[0]
+        step = s[0] * (1.0 + il * s[0]) / s[1]  # h/h'
+        reach = 2.0 * (abs(step) + np.finfo(float).eps * size / abs(s[1]))
+    wide = -2.0 * top.imag - 2.0 * reach > lam.real * tot * (1.0 + 1e-9)
+    return top if wide and np.isfinite(s).all() else None
 
 
 def _continue_batch(model: EffectiveModel, couplings: np.ndarray, seeds: np.ndarray):

@@ -19,6 +19,12 @@ same test.  An exceptional point crossed by the path makes the
 continuation genuinely undefined (the two branches reconnect at equal
 distances), which surfaces as TrajectoryAmbiguityError unless the caller
 opts into a restart from a cold solve at such points.
+
+The order parameter walks a grid too, but needs only the broadest width at
+each point.  Past the collectivity transition one state holds more than half
+of the total width 2 Re Lambda * sum v^2, which certifies it as the
+broadest, so those points solve for that one root instead of all N; a full
+solve after a certified point starts cold.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import numpy as np
 
 from .errors import InvalidCouplingError, TrajectoryAmbiguityError
 from .models import EffectiveModel, phase_factor
-from .secular import _BLOCK, _continue_batch, _nearest_gap, _tie_order, eigen_spectrum
+from .secular import _BLOCK, _broadest_root, _continue_batch, _nearest_gap, _tie_order, eigen_spectrum
 
 _MATCH_FACTOR = 0.45
 _MAX_BISECT = 24  # halvings of a rejected step before it counts as ambiguous
@@ -291,11 +297,17 @@ def order_parameter(model: EffectiveModel, lam_values, phi: float = 0.0) -> Orde
 
     The reduced slope d(Gamma_0)/d(lambda) / N switches from near zero to
     order one across the collectivity transition, which is what makes
-    Gamma_0/N an order parameter for it.  Each grid point is warm-started
-    from the previous one, except where |lambda| more than doubles: a cold
-    solve, seeded for the regime, costs less than a warm start across such
-    a jump.  Raises InvalidCouplingError on a NaN or infinite lambda, and
-    unless the grid is strictly monotonic with two or more points.
+    Gamma_0/N an order parameter for it.  Past the transition Gamma_0 needs
+    one root, not N: for Re Lambda > 0 every width is >= 0 and the widths sum
+    to 2 Re Lambda * sum v^2, so a state holding more than half of that is
+    the broadest, and secular._broadest_root finds it by Newton from the
+    collective seed in O(N).  Every other point solves for all N roots,
+    warm-started from the previous full solve, except where |lambda| more
+    than doubles (a cold solve, seeded for the regime, costs less than a
+    warm start across such a jump) or where the previous point was certified
+    (it left no spectrum to start from), which start cold.  Raises
+    InvalidCouplingError on a NaN or infinite lambda, and unless the grid is
+    strictly monotonic with two or more points.
     """
     lam = _grid(lam_values)
     step = np.diff(lam)
@@ -307,6 +319,11 @@ def order_parameter(model: EffectiveModel, lam_values, phi: float = 0.0) -> Orde
     for i, s in enumerate(lam):
         if i and abs(s) > 2 * abs(lam[i - 1]):
             prev = None
+        top = _broadest_root(model, s * phase)
+        if top is not None:
+            g0[i] = -2.0 * top.imag
+            prev = None  # no full spectrum to warm-start from
+            continue
         spec = eigen_spectrum(model, s * phase, warm_start=prev)
         prev = spec.energies[spec.warm_order]
         g0[i] = float(spec.widths.max())

@@ -103,6 +103,38 @@ def test_write_json_mirror(tmp_path):
     assert doc["meta"] == {"k": 1}
 
 
+@pytest.mark.parametrize(
+    "meta, columns",
+    [
+        (
+            {"n": 3, "phi_deg": 0.0, "flagged": float("nan"), "model": "picket", "peak_lam": "0.5", "has_peak": True},
+            {
+                "z": np.array([1.5 - 2.5j, complex(1.0, float("nan")), -0.0j]),
+                "x": np.array([0.5, float("nan"), -0.0]),
+                "k": np.arange(3),
+                "b": np.array([True, False, True]),
+                "lam": [0.1, 0.2, 0.3],
+                "e": ["a", "b\n", "\u00e9"],
+            },
+        ),
+        ({"k": 1}, {"x": np.array([]), "z": []}),
+        ({}, {}),
+        ({"only": "meta"}, {}),
+    ],
+    ids=["mixed", "empty_columns", "empty", "no_columns"],
+)
+def test_write_json_streams_the_bytes_of_one_dump(tmp_path, monkeypatch, meta, columns):
+    # the document written in batches of cells reads as one json.dump of the whole of it
+    doc = {
+        "meta": {k: meta[k] for k in sorted(meta)},
+        "columns": {k: [runio._json_cell(v) for v in runio._cells(columns[k])] for k in columns},
+    }
+    want = (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode("utf-8")
+    assert write_json(tmp_path / "a.json", meta, columns).read_bytes() == want
+    monkeypatch.setattr(runio, "_ROWS", 2)  # cells split across batches
+    assert write_json(tmp_path / "b.json", meta, columns).read_bytes() == want
+
+
 def test_manifest_digests(tmp_path):
     f = write_csv(tmp_path / "data.csv", {}, {"x": [1.0]})
     man = write_manifest(tmp_path, "demo", {"n": 3}, [f], version="9.9", wall_time=1.23456)

@@ -99,6 +99,63 @@ def test_separate_pushes_coincident_seeds_apart():
     np.testing.assert_array_equal(secular._separate(apart.copy(), 0.7 + 0.3j), apart)
 
 
+def test_crowded_points_match_the_nearest_gap_rule():
+    # the sorted scan finds exactly the points the all-pairs distance finds, ties in real part included
+    rng = np.random.default_rng(20)
+    hits = 0
+    for _ in range(400):
+        n = int(rng.integers(1, 40))
+        z = rng.normal(size=n) + 1j * rng.normal(size=n) * rng.choice([0.0, 1e-13, 1.0])
+        k = int(rng.integers(0, n // 2 + 1))
+        src, dst = rng.integers(0, n, size=(2, k))
+        z[dst] = z[src] + rng.normal(size=k) * rng.choice([0.0, 3e-13, 1e-12, 1e-6])
+        tol = 1e-12 * max(1.0, float(np.abs(z).max()))
+        want = np.flatnonzero(secular._nearest_gap(z) < tol)
+        np.testing.assert_array_equal(secular._crowded(z, tol), want)
+        hits += want.size > 0
+    assert hits > 100
+
+
+_CERTIFIED_MODELS = {
+    "fence": build_picket_fence(101),
+    "perturbed": build_perturbed_fence(101, 0.1, 1),
+    "power_1_4": build_power_law(101, 1.0, 4.0),
+    "power_1_3": build_power_law(101, 1.0, 3.0),
+    "power_0_4": build_power_law(101, 0.0, 4.0),
+    "power_2_6": build_power_law(101, 2.0, 6.0),
+    "two_level": build_two_level(0.0, 1.0, 30.0),
+    "poisson": build_spacing_ensemble(101, "poisson", 3),
+    "wigner": build_spacing_ensemble(101, "wigner", 3),
+}
+
+
+@pytest.mark.parametrize("phi", [0.0, 30.0, -60.0])
+@pytest.mark.parametrize("model", list(_CERTIFIED_MODELS.values()), ids=list(_CERTIFIED_MODELS))
+def test_broadest_root_is_the_widest_state_of_the_full_solve(model, phi):
+    certified = 0
+    for lam in np.geomspace(0.01, 100.0, 12):
+        c = lam * np.exp(1j * np.radians(phi))
+        top = secular._broadest_root(model, c)
+        if top is None:
+            continue
+        certified += 1
+        widest = eigen_spectrum(model, c).widths.max()
+        assert abs(-2.0 * top.imag - widest) <= 1e-13 * widest
+    assert certified  # the grid reaches past the transition of every model
+
+
+def test_broadest_root_declines_where_it_cannot_certify():
+    fence = build_picket_fence(101)
+    assert secular._broadest_root(fence, 2.0) is not None
+    assert secular._broadest_root(fence, 0.0) is None
+    assert secular._broadest_root(fence, -2.0) is None  # Re Lambda < 0: widths may be negative
+    assert secular._broadest_root(fence, 2.0 * np.exp(1j * np.radians(120.0))) is None
+    assert secular._broadest_root(fence, 2j) is None  # Re Lambda = 0: H is Hermitian up to a sign
+    assert secular._broadest_root(fence, 0.02) is None  # below the transition no state holds half the width
+    bare = secular.EffectiveModel(np.array([0.0, 1.0, 2.0]), np.zeros(3), build_picket_fence(3).recipe)
+    assert secular._broadest_root(bare, 2.0) is None
+
+
 def test_trace_is_conserved():
     m = build_picket_fence(11)
     lam = CouplingParameter(0.7, 20.0)

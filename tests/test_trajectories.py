@@ -308,8 +308,8 @@ def test_batched_sweep_memory_is_bounded():
     assert peak < 4_000_000
 
 
-def test_order_parameter_goes_cold_when_lambda_more_than_doubles(monkeypatch):
-    # the order_n3001 grid, at a smaller N: 0.05 -> 1.025 is a jump, 1.025 -> 2.0 is not
+def _full_solves(monkeypatch):
+    """Record, for each eigen_spectrum call order_parameter makes, whether it was warm-started."""
     calls = []
 
     def spy(model, coupling, **kw):
@@ -317,5 +317,56 @@ def test_order_parameter_goes_cold_when_lambda_more_than_doubles(monkeypatch):
         return eigen_spectrum(model, coupling, **kw)
 
     monkeypatch.setattr(trajectories, "eigen_spectrum", spy)
-    order_parameter(build_perturbed_fence(101, 0.1, 1), [0.05, 1.025, 2.0, 4.0, 8.5])
+    return calls
+
+
+def test_order_parameter_goes_cold_when_lambda_more_than_doubles(monkeypatch):
+    # no point of this under-compensated power law passes the broadest-state certificate, so every
+    # point is a full solve: 0.05 -> 1.025 is a jump, 1.025 -> 2.0 is not
+    calls = _full_solves(monkeypatch)
+    order_parameter(build_power_law(101, 0.0, 4.0), [0.05, 1.025, 2.0, 4.0, 8.5])
     assert calls == [False, False, True, True, False]
+
+
+def test_order_parameter_certifies_the_broadest_state_past_the_transition(monkeypatch):
+    # the order_n3001 grid at a smaller N: only the weak first point needs all N roots
+    calls = _full_solves(monkeypatch)
+    order_parameter(build_perturbed_fence(101, 0.1, 1), [0.05, 1.025, 2.0, 4.0, 8.5])
+    assert calls == [False]
+
+
+def test_a_full_solve_after_a_certified_point_starts_cold(monkeypatch):
+    calls = _full_solves(monkeypatch)
+    monkeypatch.setattr(trajectories, "_broadest_root", lambda m, c: None if abs(c) < 0.1 or abs(c) > 1.5 else 0.1 - 5j)
+    curve = order_parameter(build_picket_fence(21), [0.05, 0.07, 1.0, 1.2, 1.6, 1.8])
+    assert calls == [False, True, False, True]
+    np.testing.assert_array_equal(curve.gamma0[2:4], [10.0, 10.0])
+
+
+@pytest.mark.parametrize(
+    "model",
+    [build_picket_fence(101), build_perturbed_fence(101, 0.1, 1), build_power_law(101, 1.0, 4.0)],
+    ids=["fence", "perturbed", "power_law"],
+)
+def test_order_parameter_agrees_with_full_solves_everywhere(model, monkeypatch):
+    # the CLI's default order grid; the reference solves all N roots at every point
+    lam = 0.05 + 0.005 * np.arange(191)
+    certified = []
+    broadest = trajectories._broadest_root
+
+    def spy(m, c):
+        top = broadest(m, c)
+        certified.append(top is not None)
+        return top
+
+    monkeypatch.setattr(trajectories, "_broadest_root", spy)
+    curve = order_parameter(model, lam)
+    monkeypatch.setattr(trajectories, "_broadest_root", lambda m, c: None)
+    ref = order_parameter(model, lam)
+    first = certified.index(True)
+    assert all(certified[first:])  # past the transition every point is certified
+    np.testing.assert_array_equal(curve.gamma0[:first], ref.gamma0[:first])
+    np.testing.assert_allclose(curve.gamma0, ref.gamma0, rtol=5e-15, atol=0)
+    np.testing.assert_allclose(curve.gamma0_over_n, ref.gamma0_over_n, rtol=5e-15, atol=0)
+    slope = np.abs(ref.derivative_over_n).max()
+    np.testing.assert_allclose(curve.derivative_over_n, ref.derivative_over_n, rtol=0, atol=1e-12 * slope)
