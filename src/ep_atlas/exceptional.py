@@ -33,12 +33,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import IncompleteSearchError
 from .models import EffectiveModel, build_picket_fence
-from .secular import _aberth, _cauchy_sums, _power_sums, _separate, _tie_order
+from .secular import _aberth, _active, _cauchy_sums, _power_sums, _separate, _step_floor, _tie_order
 
 _TOL = 5e-14  # Aberth stopping tolerance for the roots of R
 
@@ -57,11 +58,6 @@ class ExceptionalPoint:
     partner: complex
     residual: float
     pair_id: int
-
-
-def _active(model: EffectiveModel):
-    act = model.couplings != 0.0
-    return model.epsilons[act], model.couplings[act] ** 2
 
 
 def _gap_seeds(eps: np.ndarray, v2: np.ndarray) -> np.ndarray:
@@ -107,12 +103,12 @@ def find_eps(model: EffectiveModel) -> list[ExceptionalPoint]:
     pairs that formed) if the one Aberth attempt from the gap seeds does not
     converge or its roots do not pair into the full set.
     """
-    eps, v2 = _active(model)
+    _, eps, v2 = _active(model)
     m = eps.size
     if m < 2:
         return []
     z0 = _separate(_gap_seeds(eps, v2), 0.7 + 0.3j)
-    roots, _, ok, _ = _aberth(eps, _r_logderiv(v2), z0, maxiter=600, tol=_TOL)
+    roots, _, ok, _ = _aberth(eps, _r_logderiv(v2), z0, floor=partial(_step_floor, eps, v2, 2), maxiter=600, tol=_TOL)
     pts = []
     if ok:
         # coupled Newton on (S - i/Lambda, S') from Lambda = i/S: the roots solve S' = 0 to _TOL, so

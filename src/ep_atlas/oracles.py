@@ -12,9 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OracleRangeError
-from .exceptional import _active
 from .models import EffectiveModel
-from .secular import _as_lambda, _sorted_order
+from .secular import _active, _as_lambda, _sorted_order
 
 
 def dense_oracle(model: EffectiveModel, coupling, dps: int = 40) -> np.ndarray:
@@ -52,7 +51,7 @@ def resultant_oracle(model: EffectiveModel, *, digits: int = 30) -> np.ndarray:
     """
     import sympy as sp
 
-    eps, v2 = _active(model)
+    _, eps, v2 = _active(model)
     m = eps.size
     if m > 6:
         raise OracleRangeError("exact elimination is limited to 6 coupled levels, got %d" % m)

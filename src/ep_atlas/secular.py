@@ -18,7 +18,10 @@ secular function itself.
 The iteration is one engine, _aberth, shared with the exceptional-point
 search: it takes the poles eps and a callback that maps a row block
 r = 1/(z - eps) to the log-derivative, so the same loop serves p'/p here
-and R'/R in exceptional.py.  It evaluates only iterates that have not yet
+and R'/R in exceptional.py.  Every spectrum solve reaches it through one
+root stage, _roots, which takes B couplings at once (eigen_spectrum
+passes one, a sweep batch several) and iterates only the coupled levels
+at a nonzero coupling.  The engine evaluates only iterates that have not yet
 converged, in row blocks of at most _BLOCK complex entries, so temporaries
 are O(N*B) rather than N x N.  One call can also carry a batch of
 independent root sets over the same poles (for a sweep, one per coupling):
@@ -33,7 +36,11 @@ all threads together stay O(N*B), and every root, iteration count and
 output byte is the same on any number of cores.  An iterate stops
 when its relative step falls below tol, or when rounding keeps it above:
 its step stops shrinking after falling below 1e-12, or lies under the
-rounding bound u*sum|v^2 r|/|S'| of the secular sum.
+rounding bound of its Newton step (_step_floor): u*sum|v^2 r|/|S'| for
+the secular sum S, and u*sum|v^2 r^2|/|S''| for S', whose zeros the
+exceptional-point search finds.  Crowded points, seeds closer than
+rounding or a sweep root that moved too far for its nearest gap, are found
+by one sorted scan, _crowded.
 
 Cold seeds follow the collectivity transition, which splits the spectrum
 into one collective state of width about |Lambda|*sum(v^2) and N-1 trapped
@@ -241,46 +248,28 @@ def _cauchy_sums(x: np.ndarray, eps: np.ndarray, w: np.ndarray, top: int, mag: i
     return (sums, size) if mag else sums
 
 
-def _nearest_gap(z: np.ndarray) -> np.ndarray:
-    """Distance from each point to its nearest other one in its row (inf if alone).
+def _crowded(z: np.ndarray, reach) -> np.ndarray:
+    """Mask of the points that have another point of their row closer than their reach.
 
-    z is one row of points or a (B, N) stack of rows; memory stays O(N*_BLOCK).
+    z is one row of points or a (B, N) stack of rows, and reach one scalar or
+    one reach per point.  Each row is scanned in order of real part: points
+    k places apart are compared for k = 1, 2, ... while some pair k apart is
+    closer in real part alone than the larger of its two reaches, since no
+    pair further apart can then be closer.  Memory stays O(B*N).
     """
     zm = np.atleast_2d(z)
-    n = zm.shape[1]
-    flat = zm.reshape(-1)
-    near = np.empty(flat.size)
-
-    def run(blocks):
-        for lo, hi in blocks:
-            ib = np.arange(lo, hi)
-            gap = zm[ib // n]
-            np.subtract(flat[ib, None], gap, out=gap)
-            gap = np.abs(gap)
-            gap[np.arange(ib.size), ib % n] = np.inf  # a point's distance to itself
-            near[lo:hi] = gap.min(axis=1)
-
-    _over_shares(run, flat.size, n)
+    o = np.argsort(zm.real, axis=1, kind="stable")
+    zs = np.take_along_axis(zm, o, axis=1)
+    rs = np.take_along_axis(np.broadcast_to(reach, zm.shape), o, axis=1)
+    near = np.zeros(zm.shape, dtype=bool)
+    for k in range(1, zm.shape[1]):
+        if not (zs.real[:, k:] - zs.real[:, :-k] < np.maximum(rs[:, k:], rs[:, :-k])).any():
+            break
+        gap = np.abs(zs[:, k:] - zs[:, :-k])
+        near[:, k:] |= gap < rs[:, k:]
+        near[:, :-k] |= gap < rs[:, :-k]
+    np.put_along_axis(near, o, near.copy(), axis=1)
     return near.reshape(np.shape(z))
-
-
-def _crowded(z: np.ndarray, tol: float) -> np.ndarray:
-    """Indices, ascending, of the points of the row z that lie within tol of another one.
-
-    The same set as np.flatnonzero(_nearest_gap(z) < tol), found in sorted
-    order: points k places apart by real part are compared for k = 1, 2, ...
-    while some pair k apart is closer than tol in real part alone.
-    """
-    o = np.argsort(z.real, kind="stable")
-    zs = z[o]
-    near = np.zeros(z.size, dtype=bool)
-    k = 1
-    while k < z.size and (zs.real[k:] - zs.real[:-k] < tol).any():
-        pair = np.abs(zs[k:] - zs[:-k]) < tol
-        near[k:] |= pair
-        near[:-k] |= pair
-        k += 1
-    return np.sort(o[near])
 
 
 def _separate(z: np.ndarray, jitter: complex) -> np.ndarray:
@@ -290,14 +279,14 @@ def _separate(z: np.ndarray, jitter: complex) -> np.ndarray:
     """
     scale = max(1.0, float(np.abs(z).max()))
     for _ in range(3):
-        bad = _crowded(z, 1e-12 * scale)
+        bad = np.flatnonzero(_crowded(z, 1e-12 * scale))
         if bad.size == 0:
             break
         z[bad] += (np.arange(bad.size) + 1) * 1e-6 * scale * jitter
     return z
 
 
-def _aberth(eps, logderiv, z0, maxiter=500, tol=5e-14, floor=None):
+def _aberth(eps, logderiv, z0, floor, maxiter=500, tol=5e-14):
     """Simultaneous root iteration; returns (roots, iterations, converged, last_step).
 
     The roots are those of p(E) = prod_k (E - eps_k) * q(E) for a rational q.
@@ -320,9 +309,9 @@ def _aberth(eps, logderiv, z0, maxiter=500, tol=5e-14, floor=None):
 
     An iterate converges when its relative step falls below tol, or when
     rounding keeps it from getting there: when its step stops shrinking
-    after falling below 1e-12, or, given floor(z) (the absolute rounding
-    bound of a step at the points z), when a step below 1e-7 that shrank by
-    less than a factor of 10 is below that bound; floor is evaluated only
+    after falling below 1e-12, or when a step below 1e-7 that shrank by
+    less than a factor of 10 is below floor(z), the absolute rounding bound
+    of a step at the points z (such as _step_floor); floor is evaluated only
     for such iterates.
     Converged iterates are frozen, and last_step reports each member's
     largest relative step at the final evaluation of its iterates.  A
@@ -383,7 +372,7 @@ def _aberth(eps, logderiv, z0, maxiter=500, tol=5e-14, floor=None):
                     low, prev = low[slow], prev[slow]
                     done[low] = (sa[low] < 1e-12) & (sa[low] >= prev)
                     near = low[~done[low]]
-                    if floor is not None and near.size:
+                    if near.size:
                         done[near] = np.abs(wa[near]) <= floor(za[near])
             step[idx] = sa
             z[idx] = za - wa
@@ -435,10 +424,10 @@ def _slope(x: np.ndarray, eps: np.ndarray, v2: np.ndarray) -> np.ndarray:
     return out
 
 
-def _step_floor(eps: np.ndarray, v2: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Rounding bound u*sum|v^2 r|/|S'| of a secular Newton step at each point z, r = 1/(z - eps)."""
-    s, size = _cauchy_sums(z, eps, v2, 2, mag=1)
-    return np.finfo(float).eps * size / np.abs(s[1])
+def _step_floor(eps: np.ndarray, w: np.ndarray, p: int, z: np.ndarray) -> np.ndarray:
+    """Rounding bound u*sum|w r^p|/|p*sum w r^(p+1)| of a Newton step on sum w r^p at each z, r = 1/(z - eps)."""
+    s, size = _cauchy_sums(z, eps, w, p + 1, mag=p)
+    return np.finfo(float).eps * size / np.abs(p * s[p])
 
 
 def _seeds(eps: np.ndarray, v2: np.ndarray, lam: complex) -> np.ndarray:
@@ -560,6 +549,12 @@ class Spectrum:
         return int(self.energies.size)
 
 
+def _active(model: EffectiveModel):
+    """The coupled levels (v_k != 0), the only ones that take part: (their mask, their eps, their v^2)."""
+    act = model.couplings != 0.0
+    return act, model.epsilons[act], model.couplings[act] ** 2
+
+
 def _off_poles(z: np.ndarray, eps: np.ndarray, v2: np.ndarray, lam) -> np.ndarray:
     # warm seeds z of the levels eps, entry k for level k: an entry on any pole eps_j (a sweep from
     # lambda = 0, or a start in another order) makes the step 1/0, which _aberth zeroes and then
@@ -570,6 +565,40 @@ def _off_poles(z: np.ndarray, eps: np.ndarray, v2: np.ndarray, lam) -> np.ndarra
     j = np.minimum(np.searchsorted(eps, z.real), eps.size - 1)
     hit = (z.imag == 0) & (eps[j] == z.real)
     return np.where(hit, eps - 1j * lam * v2, z) if hit.any() else z
+
+
+def _roots(model: EffectiveModel, couplings, seeds=None, maxiter: int = 500, tol: float = 5e-14):
+    """Roots at B couplings from one _aberth call; returns (roots, iterations, ok, last_step) per member.
+
+    roots is (B, N) in level order: roots[b, k] is level k at couplings[b],
+    continuing seeds[b, k] when B warm starts are given (each read as
+    eigen_spectrum reads warm_start), else from _seeds.  Only coupled levels
+    at a nonzero coupling are iterated: a split-off level, and every level at
+    lambda = 0, keeps its bare energy exactly, and a single coupled level
+    takes its exact root (0 iterations, ok).  Raises InvalidCouplingError for
+    a NaN or infinite coupling.
+    """
+    lams = [_as_lambda(c) for c in couplings]
+    lam = np.array(lams, dtype=complex)
+    act, eps, v2 = _active(model)
+    roots = np.repeat(model.epsilons.astype(complex)[None, :], lam.size, axis=0)
+    its = np.zeros(lam.size, dtype=int)
+    ok = np.ones(lam.size, dtype=bool)
+    last = np.zeros(lam.size)
+    live = np.flatnonzero(lam != 0)
+    at = np.ix_(live, act)
+    if eps.size == 1:
+        roots[at] = eps - 1j * lam[live, None] * v2
+    elif eps.size and live.size:
+        if seeds is None:
+            z0 = np.array([_seeds(eps, v2, lams[b]) for b in live])
+        else:
+            z0 = _off_poles(np.asarray(seeds, dtype=complex)[at], eps, v2, lam[live, None])
+        floor = partial(_step_floor, eps, v2, 1)
+        roots[at], its[live], ok[live], last[live] = _aberth(
+            eps, _spectrum_logderiv(v2, lam[live]), z0, floor=floor, maxiter=maxiter, tol=tol
+        )
+    return roots, its, ok, last
 
 
 def eigen_spectrum(
@@ -592,10 +621,15 @@ def eigen_spectrum(
     on any coupled level eps_j is seeded at eps_k - i*Lambda*v_k^2 instead,
     since the iteration cannot step off a pole.
 
-    The roots come from one _aberth attempt, from warm_start or, on a cold
-    solve, from _seeds.  residual is its largest last relative step; near an
-    exceptional point, where a defective pair is defined only to about
-    sqrt(machine eps), the rounding-bound stop leaves it up to 1e-7.
+    The roots come from one _aberth attempt (_roots), from warm_start or, on
+    a cold solve, from _seeds.  residual is its largest last relative step.
+    Near an exceptional point, where a defective pair is defined only to
+    about sqrt(machine eps), the rounding-bound stop leaves it up to 1e-7.
+    At an exact exceptional point the coincident iterates stop on a
+    non-finite step, which _aberth zeroes, so residual reads 0.0 although
+    the pair is only good to about sqrt(machine eps):
+    eigen_spectrum(build_picket_fence(2), 0.5) returns -0.50000001j and
+    -0.5j for the double root -0.5j.
 
     compute_vectors fills hermitian_norms and condition and makes vectors
     available; the eigenvector matrix is only built if vectors is read.
@@ -610,32 +644,19 @@ def eigen_spectrum(
     """
     lam = _as_lambda(coupling)
     n = model.n
-    eps = model.epsilons
-    v = model.couplings
-    act = (v != 0.0) if lam != 0 else np.zeros(n, dtype=bool)  # at lambda = 0 every level is bare
-    e_full = eps.astype(complex)
-    its = 0
-    last = 0.0
     if warm_start is not None:
         warm_start = np.asarray(warm_start, dtype=complex)
         if warm_start.shape != (n,):
             raise ValueError("warm_start must have one entry per level")
         if not np.isfinite(warm_start).all():
             raise ValueError("warm_start entries must be finite")
-    if act.any():
-        eps_a = eps[act]
-        v2_a = v[act] ** 2
-        if eps_a.size == 1:
-            roots = np.array([eps_a[0] - 1j * lam * v2_a[0]])
-        else:
-            z0 = _seeds(eps_a, v2_a, lam) if warm_start is None else _off_poles(warm_start[act], eps_a, v2_a, lam)
-            roots, its, ok, last = _aberth(
-                eps_a, _spectrum_logderiv(v2_a, lam), z0, maxiter=maxiter, tol=tol, floor=partial(_step_floor, eps_a, v2_a)
-            )
-            if not ok:
-                diagnostics = {"n": eps_a.size, "lambda": complex(lam), "iterations": its, "max_relative_step": last}
-                raise SolverFailureError("eigenvalue iteration did not converge", diagnostics=diagnostics)
-        e_full[act] = roots
+        warm_start = warm_start[None, :]
+    e_full, its, ok, last = _roots(model, [lam], warm_start, maxiter, tol)
+    e_full, its, last = e_full[0], int(its[0]), float(last[0])
+    act, eps_a, v2_a = _active(model)
+    if not ok[0]:
+        diagnostics = {"n": eps_a.size, "lambda": complex(lam), "iterations": its, "max_relative_step": last}
+        raise SolverFailureError("eigenvalue iteration did not converge", diagnostics=diagnostics)
 
     order = _sorted_order(e_full)
     e_sorted = e_full[order]
@@ -644,11 +665,12 @@ def eigen_spectrum(
     if not compute_vectors:
         return Spectrum(energies=e_sorted, iterations=its, residual=last, warm_order=warm_order)
 
+    act &= lam != 0  # at lambda = 0 every level is bare
     cols = np.flatnonzero(act[order])
     e_act = e_sorted[cols]
     norms = np.ones(n)
     cond = np.full(n, np.inf)
-    sums, herm = _cauchy_sums(e_act, eps[act], v[act] ** 2, 2, mag=2)
+    sums, herm = _cauchy_sums(e_act, eps_a, v2_a, 2, mag=2)
     bil = sums[1]  # psi^T psi = sum v^2 r^2, and herm = <psi|psi> = sum v^2 |r|^2
     cond[cols] = np.abs(bil) / herm
     ill = cols[cond[cols] < _NORM_FLOOR]
@@ -665,7 +687,7 @@ def eigen_spectrum(
         warm_order=warm_order,
         hermitian_norms=norms,
         condition=cond,
-        _build_vectors=partial(_c_normalized_vectors, order, act, cols, e_act, eps[act], v[act], bil),
+        _build_vectors=partial(_c_normalized_vectors, order, act, cols, e_act, eps_a, model.couplings[act], bil),
     )
 
 
@@ -684,11 +706,9 @@ def _broadest_root(model: EffectiveModel, coupling) -> complex | None:
     the caller then solves for all N roots.
     """
     lam = _as_lambda(coupling)
-    act = model.couplings != 0.0
-    if lam.real <= 0 or not act.any():
+    _, eps, v2 = _active(model)
+    if lam.real <= 0 or not eps.size:
         return None
-    eps = model.epsilons[act]
-    v2 = model.couplings[act] ** 2
     tot = v2.sum()
     il = 1j * lam
     w = v2.astype(complex)
@@ -698,7 +718,7 @@ def _broadest_root(model: EffectiveModel, coupling) -> complex | None:
         return s[1] / (s[0] * (1.0 + il * s[0]))
 
     seed = [(eps * v2).sum() / tot - il * tot]
-    root, _, ok, _ = _aberth(eps, logderiv, seed, maxiter=30, floor=partial(_step_floor, eps, v2))
+    root, _, ok, _ = _aberth(eps, logderiv, seed, floor=partial(_step_floor, eps, v2, 1), maxiter=30)
     top = complex(root[0])
     if not ok:
         return None
@@ -715,35 +735,6 @@ def _broadest_root(model: EffectiveModel, coupling) -> complex | None:
         reach = 2.0 * (abs(step) + np.finfo(float).eps * size / abs(s[1]))
     wide = -2.0 * top.imag - 2.0 * reach > lam.real * tot * (1.0 + 1e-9)
     return top if wide and np.isfinite(s).all() else None
-
-
-def _continue_batch(model: EffectiveModel, couplings: np.ndarray, seeds: np.ndarray):
-    """Roots at B couplings from one batched _aberth call; returns (roots, ok).
-
-    Row b of seeds is the warm start for couplings[b] in level order, read
-    as eigen_spectrum reads warm_start, and roots[b] comes back in level
-    order too: roots[b, k] continues seeds[b, k].  Only coupled levels are
-    iterated; a split-off level keeps its own entry, at its bare energy.
-    ok[b] says that member b converged at a nonzero coupling.  Each member
-    gets one attempt, as an eigen_spectrum solve does; sweep solves the
-    first member that is not ok again, from the last accepted row and with
-    bisection.  Raises InvalidCouplingError for a NaN or infinite coupling,
-    as eigen_spectrum does.
-    """
-    lam = np.array([_as_lambda(c) for c in couplings], dtype=complex)
-    seeds = np.asarray(seeds, dtype=complex)
-    eps = model.epsilons
-    v = model.couplings
-    act = v != 0.0
-    e_full = np.repeat(eps.astype(complex)[None, :], lam.size, axis=0)
-    ok = lam != 0
-    if act.any():
-        v2 = v[act] ** 2
-        warm = _off_poles(seeds[:, act], eps[act], v2, lam[:, None])
-        z, _, conv, _ = _aberth(eps[act], _spectrum_logderiv(v2, lam), warm, floor=partial(_step_floor, eps[act], v2))
-        e_full[:, act] = z
-        ok &= conv
-    return e_full, ok
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,14 @@ Lambda = lambda * exp(1j*phi).  The continuation is iterate identity: each
 root is iterated from a seed that belongs to one column (column k holds
 level k, in the order of Spectrum.warm_order, whatever order the energies
 sort in), so no matching happens here.  After the first (cold) point,
-grid points are solved in batches, one engine call per batch: every
-point's seed is the linear (secant) extrapolation of the last two accepted
-rows, or the last row alone when no second row continues it.  A point is
-accepted only if every root moved by less than roughly half its distance
-to the nearest other root (the balls are then disjoint and the
-continuation is unique); a batch keeps its leading run of accepted points.
-The batch size doubles after a batch that is accepted whole, up to what
+grid points are solved in batches, one call per batch of the root stage
+that eigen_spectrum uses too (secular._roots): every point's seed is the
+linear (secant) extrapolation of the last two accepted rows, or the last
+row alone when no second row continues it.  A point is accepted only if
+every root moved by less than roughly half its distance to the nearest
+other root (the balls are then disjoint and the continuation is unique);
+a batch keeps its leading run of accepted points.  A point at lambda = 0
+is the bare levels exactly and is tested like any other.  The batch size doubles after a batch that is accepted whole, up to what
 half an engine row block holds, and falls back to one point after a
 rejection.  The first rejected point is re-solved from the last row alone,
 warm-starting eigen_spectrum, and its step is bisected until it passes the
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import InvalidCouplingError, TrajectoryAmbiguityError
 from .models import EffectiveModel, phase_factor
-from .secular import _BLOCK, _broadest_root, _continue_batch, _nearest_gap, _tie_order, eigen_spectrum
+from .secular import _BLOCK, _broadest_root, _crowded, _roots, _tie_order, eigen_spectrum
 
 _MATCH_FACTOR = 0.45
 _MAX_BISECT = 24  # halvings of a rejected step before it counts as ambiguous
@@ -67,8 +68,13 @@ class Trajectory:
 
 
 def _matched(prev: np.ndarray, new: np.ndarray):
-    """Whether each row of new continues the same row of prev (one bool per row of a stack)."""
-    return np.all(np.abs(new - prev) <= _MATCH_FACTOR * _nearest_gap(new) + 1e-15, axis=-1)
+    """Whether each row of new continues the same row of prev (one bool per row of a stack).
+
+    Every root must have moved by at most _MATCH_FACTOR of its nearest gap
+    plus 1e-15, and every entry must be finite.
+    """
+    reach = (np.abs(new - prev) - 1e-15) / _MATCH_FACTOR
+    return np.isfinite(reach).all(axis=-1) & ~_crowded(new, reach).any(axis=-1)
 
 
 def _grid(lam_values) -> np.ndarray:
@@ -139,7 +145,7 @@ def sweep(
             seeds = prev + t[:, None] * (prev - rows[i - 2])
         else:
             seeds = np.repeat(prev[None, :], k, axis=0)
-        roots, ok = _continue_batch(model, cs[i : i + k], seeds)
+        roots, _, ok, _ = _roots(model, cs[i : i + k], seeds)
         ok &= _matched(np.concatenate((prev[None, :], roots[:-1])), roots)
         good = k if ok.all() else int(np.argmin(ok))
         rows[i : i + good] = roots[:good]

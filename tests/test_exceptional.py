@@ -166,6 +166,16 @@ def test_every_ep_solves_the_double_root_equations(monkeypatch, r, t, n):
         assert p.residual <= 1e-12
 
 
+def test_search_stops_at_its_rounding_floor_at_large_n(monkeypatch):
+    # the step of the compensated r=2, t=6 search hovers at about 1e-12 from N = 2501 on, above
+    # the 1e-12 stall rule; without the rounding bound of S' it ran all 600 iterations and raised
+    calls = _spy_aberth(monkeypatch, lambda roots, ok: (roots, ok))
+    m = build_power_law(2501, 2.0, 6.0)
+    reps = find_eps(m)
+    assert len(reps) == np.count_nonzero(m.couplings) - 1 == 2499
+    assert calls[0] <= 60
+
+
 def _tied(lam):
     """Indices k where lam[k] and lam[k + 1] tie in Re Lambda."""
     return [k for k in range(lam.size - 1) if abs(lam[k + 1].real - lam[k].real) <= 1e-12 * max(1.0, abs(lam[k + 1]))]

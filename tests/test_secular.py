@@ -2,6 +2,7 @@
 
 import sys
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -99,21 +100,54 @@ def test_separate_pushes_coincident_seeds_apart():
     np.testing.assert_array_equal(secular._separate(apart.copy(), 0.7 + 0.3j), apart)
 
 
+def _nearest_gap(z):
+    """All-pairs distance from each point to the nearest other one of its row (inf if alone)."""
+    gap = np.abs(z[..., :, None] - z[..., None, :])
+    i = np.arange(z.shape[-1])
+    gap[..., i, i] = np.inf
+    return gap.min(axis=-1, initial=np.inf)
+
+
 def test_crowded_points_match_the_nearest_gap_rule():
-    # the sorted scan finds exactly the points the all-pairs distance finds, ties in real part included
+    # the sorted scan finds exactly the points the all-pairs distance finds, ties in real part
+    # included, for one row or a stack and for one reach or one per point
     rng = np.random.default_rng(20)
     hits = 0
     for _ in range(400):
         n = int(rng.integers(1, 40))
-        z = rng.normal(size=n) + 1j * rng.normal(size=n) * rng.choice([0.0, 1e-13, 1.0])
+        b = int(rng.integers(1, 4))
+        z = rng.normal(size=(b, n)) + 1j * rng.normal(size=(b, n)) * rng.choice([0.0, 1e-13, 1.0])
         k = int(rng.integers(0, n // 2 + 1))
         src, dst = rng.integers(0, n, size=(2, k))
-        z[dst] = z[src] + rng.normal(size=k) * rng.choice([0.0, 3e-13, 1e-12, 1e-6])
+        z[:, dst] = z[:, src] + rng.normal(size=(b, k)) * rng.choice([0.0, 3e-13, 1e-12, 1e-6])
         tol = 1e-12 * max(1.0, float(np.abs(z).max()))
-        want = np.flatnonzero(secular._nearest_gap(z) < tol)
-        np.testing.assert_array_equal(secular._crowded(z, tol), want)
-        hits += want.size > 0
+        reach = tol * rng.choice([0.0, 0.5, 1.0, 2.0], size=(b, n))
+        for row, r in ((z[0], tol), (z, tol), (z[0], reach[0]), (z, reach)):
+            want = _nearest_gap(row) < r
+            np.testing.assert_array_equal(secular._crowded(row, r), want)
+        hits += want.any()
     assert hits > 100
+
+
+def test_matched_makes_the_nearest_gap_decisions():
+    # a row continues when every root moved by at most 0.45 of its nearest gap, plus 1e-15;
+    # stacks hold duplicate points, ties in real part and steps on both sides of the bound
+    rng = np.random.default_rng(21)
+    decided = {True: 0, False: 0}
+    for _ in range(10_000):
+        b, n = int(rng.integers(1, 5)), int(rng.integers(1, 12))
+        new = np.round(rng.normal(size=(b, n)), 1) + 1j * np.round(rng.normal(size=(b, n)), 1) * rng.choice([0, 1])
+        step = rng.normal(size=(b, n)) + 1j * rng.normal(size=(b, n))
+        prev = new - step * rng.choice([0.0, 1e-16, 1e-3, 0.02, 0.1, 1.0])
+        want = np.all(np.abs(new - prev) <= 0.45 * _nearest_gap(new) + 1e-15, axis=-1)
+        np.testing.assert_array_equal(_matched(prev, new), want)
+        np.testing.assert_array_equal(_matched(prev[0], new[0]), want[0])
+        for flag in want:
+            decided[bool(flag)] += 1
+        bad = new.copy()
+        bad[0, int(rng.integers(n))] = rng.choice([np.nan, np.inf, complex(np.inf, np.nan)])
+        assert not _matched(prev, bad)[0]
+    assert min(decided.values()) > 2_000
 
 
 _CERTIFIED_MODELS = {
@@ -543,7 +577,7 @@ def test_warm_seeds_are_the_level_ordered_entries(monkeypatch):
     for lam in np.arange(0.605, 0.75, 0.005):
         seeds.clear()
         spec = eigen_spectrum(m, lam, warm_start=prev)
-        np.testing.assert_array_equal(seeds[0], prev[act])
+        np.testing.assert_array_equal(np.ravel(seeds[0]), prev[act])
         prev = spec.energies[spec.warm_order]
         assert prev[d] == m.epsilons[d]
         sorted_off += spec.energies[d] != m.epsilons[d]
@@ -565,20 +599,25 @@ def test_batched_aberth_members_match_single_calls(monkeypatch, model, maxiter):
     eps, v2 = model.epsilons[act], model.couplings[act] ** 2
     lams = np.array([0.05, 0.3, 0.31, 1 / np.pi, 0.9 + 0.2j, 3.0, 10.0, 0.3])
     seeds = [secular._seeds(eps, v2, lam) for lam in lams[:-2]]
-    seeds[2] = secular._aberth(eps, secular._spectrum_logderiv(v2, 0.3), seeds[1])[0]  # a warm start
+    floor = partial(secular._step_floor, eps, v2, 1)
+    seeds[2] = secular._aberth(eps, secular._spectrum_logderiv(v2, 0.3), seeds[1], floor=floor)[0]  # a warm start
     # iterates on the imaginary axis lock into a mirror-symmetric cycle and need the stall kick
     seeds += [-1j * lam * np.linspace(0.1, 2.0, eps.size) for lam in lams[-2:]]
-    z, its, ok, last = secular._aberth(eps, secular._spectrum_logderiv(v2, lams), np.array(seeds), maxiter=maxiter)
+    z, its, ok, last = secular._aberth(
+        eps, secular._spectrum_logderiv(v2, lams), np.array(seeds), floor=floor, maxiter=maxiter
+    )
     assert z.shape == (lams.size, eps.size) and its.shape == ok.shape == last.shape == (lams.size,)
     for b, lam in enumerate(lams):
-        z1, its1, ok1, last1 = secular._aberth(eps, secular._spectrum_logderiv(v2, lam), seeds[b], maxiter=maxiter)
+        z1, its1, ok1, last1 = secular._aberth(
+            eps, secular._spectrum_logderiv(v2, lam), seeds[b], floor=floor, maxiter=maxiter
+        )
         assert (its[b], ok[b]) == (its1, ok1)
         np.testing.assert_array_equal(z[b], z1)
         assert last[b] == last1
     if maxiter == 500:
         assert ok.all()
         monkeypatch.setattr(secular, "_GOLDEN", 0.3)  # another kick direction
-        z2 = secular._aberth(eps, secular._spectrum_logderiv(v2, lams), np.array(seeds), maxiter=maxiter)[0]
+        z2 = secular._aberth(eps, secular._spectrum_logderiv(v2, lams), np.array(seeds), floor=floor, maxiter=maxiter)[0]
         kicked = np.flatnonzero(np.any(z2 != z, axis=1))
         assert kicked.size and set(kicked) <= {lams.size - 2, lams.size - 1}
     else:
@@ -646,8 +685,9 @@ def test_solve_stops_at_the_rounding_floor(delta):
     assert 5e-14 < spec.residual < 1e-12  # above tol, reported as it is
     act = m.couplings != 0
     eps, v2 = m.epsilons[act], m.couplings[act] ** 2
-    # without the bound, a step that stops shrinking below 1e-12 ends the iteration
-    _, its, ok, last = secular._aberth(eps, secular._spectrum_logderiv(v2, c), secular._seeds(eps, v2, c))
+    # without the bound (a zero floor), a step that stops shrinking below 1e-12 ends the iteration
+    zero = lambda z: np.zeros(z.size)
+    _, its, ok, last = secular._aberth(eps, secular._spectrum_logderiv(v2, c), secular._seeds(eps, v2, c), floor=zero)
     assert ok and its <= 12 and last < 1e-12
 
 

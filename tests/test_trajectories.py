@@ -39,6 +39,18 @@ def test_sweep_from_zero_coupling_leaves_the_bare_levels(model):
         assert_complex_sets_close(row, eigen_spectrum(model, c).energies, atol=1e-12)
 
 
+@pytest.mark.parametrize("model", [build_picket_fence(7), build_power_law(15, 1.0, 4.0)], ids=["fence", "power_law"])
+def test_sweep_through_zero_coupling_keeps_the_bare_row_exact(model):
+    # a batch that holds lambda = 0 after the first point: that member is the bare levels exactly,
+    # and the walk leaves them again on the far side
+    lam = np.array([0.3, 0.2, 0.1, 0.0, 0.1, 0.2])
+    traj = sweep(model, lam)
+    assert traj.ambiguous_intervals == ()
+    np.testing.assert_array_equal(traj.energies[3], model.epsilons.astype(complex))
+    for i in (0, 1, 2, 4, 5):
+        assert_complex_sets_close(traj.energies[i], eigen_spectrum(model, lam[i]).energies, atol=1e-12)
+
+
 def test_sweep_keeps_the_bare_level_in_its_column():
     # the bare level sorts to position 49 at lambda = 0.7 and has index 50;
     # a first row in sorted order would be seeded off level order and stop at (0.7, 0.705)
@@ -195,7 +207,7 @@ def test_sweep_perturbed_fence_strict_policy():
 
 
 def test_sweep_memory_is_bounded():
-    # the step test takes nearest-root gaps over row blocks: no N x N matrix
+    # the step test scans nearest-root gaps in order of real part: no N x N matrix
     # (one real 3001 x 3001 array alone would take 72 MB)
     m = build_perturbed_fence(3001, 0.1, 1)
     tracemalloc.start()
