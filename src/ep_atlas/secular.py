@@ -38,9 +38,8 @@ when its relative step falls below tol, or when rounding keeps it above:
 its step stops shrinking after falling below 1e-12, or lies under the
 rounding bound of its Newton step (_step_floor): u*sum|v^2 r|/|S'| for
 the secular sum S, and u*sum|v^2 r^2|/|S''| for S', whose zeros the
-exceptional-point search finds.  Crowded points, seeds closer than
-rounding or a sweep root that moved too far for its nearest gap, are found
-by one sorted scan, _crowded.
+exceptional-point search finds.  One sorted scan, _crowded, finds both
+seeds closer than rounding and sweep roots that moved too far.
 
 Cold seeds follow the collectivity transition, which splits the spectrum
 into one collective state of width about |Lambda|*sum(v^2) and N-1 trapped
@@ -258,9 +257,10 @@ def _crowded(z: np.ndarray, reach) -> np.ndarray:
     pair further apart can then be closer.  Memory stays O(B*N).
     """
     zm = np.atleast_2d(z)
+    rows = np.arange(zm.shape[0])[:, None]
     o = np.argsort(zm.real, axis=1, kind="stable")
-    zs = np.take_along_axis(zm, o, axis=1)
-    rs = np.take_along_axis(np.broadcast_to(reach, zm.shape), o, axis=1)
+    zs = zm[rows, o]
+    rs = np.full(zm.shape, reach)[rows, o]
     near = np.zeros(zm.shape, dtype=bool)
     for k in range(1, zm.shape[1]):
         if not (zs.real[:, k:] - zs.real[:, :-k] < np.maximum(rs[:, k:], rs[:, :-k])).any():
@@ -268,8 +268,9 @@ def _crowded(z: np.ndarray, reach) -> np.ndarray:
         gap = np.abs(zs[:, k:] - zs[:, :-k])
         near[:, k:] |= gap < rs[:, k:]
         near[:, :-k] |= gap < rs[:, :-k]
-    np.put_along_axis(near, o, near.copy(), axis=1)
-    return near.reshape(np.shape(z))
+    mask = np.empty_like(near)
+    mask[rows, o] = near
+    return mask.reshape(np.shape(z))
 
 
 def _separate(z: np.ndarray, jitter: complex) -> np.ndarray:

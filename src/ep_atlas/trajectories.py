@@ -12,14 +12,15 @@ row alone when no second row continues it.  A point is accepted only if
 every root moved by less than roughly half its distance to the nearest
 other root (the balls are then disjoint and the continuation is unique);
 a batch keeps its leading run of accepted points.  A point at lambda = 0
-is the bare levels exactly and is tested like any other.  The batch size doubles after a batch that is accepted whole, up to what
-half an engine row block holds, and falls back to one point after a
-rejection.  The first rejected point is re-solved from the last row alone,
-warm-starting eigen_spectrum, and its step is bisected until it passes the
-same test.  An exceptional point crossed by the path makes the
-continuation genuinely undefined (the two branches reconnect at equal
-distances), which surfaces as TrajectoryAmbiguityError unless the caller
-opts into a restart from a cold solve at such points.
+is the bare levels exactly and is tested like any other.  The batch size
+doubles after a batch that is accepted whole, up to what half an engine
+row block holds, and falls back to one point after a rejection.  The
+first rejected point is re-solved from the last row alone, warm-starting
+eigen_spectrum, and its step is bisected until it passes the same test.
+An exceptional point crossed by the path makes the continuation genuinely
+undefined (the two branches reconnect at equal distances), which surfaces
+as TrajectoryAmbiguityError unless the caller opts into a restart from a
+cold solve at such points.
 
 The order parameter walks a grid too, but needs only the broadest width at
 each point.  Past the collectivity transition one state holds more than half

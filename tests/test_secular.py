@@ -617,7 +617,7 @@ def test_batched_aberth_members_match_single_calls(monkeypatch, model, maxiter):
     if maxiter == 500:
         assert ok.all()
         monkeypatch.setattr(secular, "_GOLDEN", 0.3)  # another kick direction
-        z2 = secular._aberth(eps, secular._spectrum_logderiv(v2, lams), np.array(seeds), floor=floor, maxiter=maxiter)[0]
+        z2 = secular._aberth(eps, secular._spectrum_logderiv(v2, lams), np.array(seeds), floor=floor)[0]
         kicked = np.flatnonzero(np.any(z2 != z, axis=1))
         assert kicked.size and set(kicked) <= {lams.size - 2, lams.size - 1}
     else:
