@@ -94,6 +94,9 @@ def find_peak(lambdas: np.ndarray, values: np.ndarray) -> BPeak | None:
 def b_curve(model: EffectiveModel, lam_values, phi: float = 0.0) -> BCurve:
     """B over a lambda grid at fixed phase (degrees), with peak detection.
 
+    Each point is warm-started from the one before by Spectrum.toward, which
+    moves every root along the Taylor series of S about it to the new
+    coupling; the first point, and a point after a flagged one, start cold.
     Grid points too close to an exceptional point for stable normalization
     are recorded in `flagged` and carry NaN; the peak search skips them.  A
     NaN or infinite lambda raises InvalidCouplingError.
@@ -102,14 +105,14 @@ def b_curve(model: EffectiveModel, lam_values, phi: float = 0.0) -> BCurve:
     phase = phase_factor(phi)
     vals = np.empty(lam.size)
     flagged: list[int] = []
-    prev = None
+    spec = None
     for i, s in enumerate(lam):
+        c = s * phase
         try:
-            spec = eigen_spectrum(model, s * phase, compute_vectors=True, warm_start=prev)
-            prev = spec.energies[spec.warm_order]
+            spec = eigen_spectrum(model, c, compute_vectors=True, warm_start=None if spec is None else spec.toward(c))
             vals[i] = float(spec.hermitian_norms.mean())
         except IllConditionedNormalizationError:
             vals[i] = np.nan
             flagged.append(i)
-            prev = None
+            spec = None
     return BCurve(lambdas=lam, values=vals, flagged=tuple(flagged), peak=find_peak(lam, vals))

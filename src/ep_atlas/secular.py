@@ -34,7 +34,9 @@ pass, and each thread enters the caller's np.errstate, which numpy keeps
 per thread.  The blocks shrink with the thread count, so the temporaries of
 all threads together stay O(N*B), and every root, iteration count and
 output byte is the same on any number of cores.  An iterate stops
-when its relative step falls below tol, or when rounding keeps it above:
+when its relative step, |step|/(min(1, span) + |z|) with span the extent
+of the poles, falls below tol (so a model whose levels span less than 1
+keeps its precision at its own scale), or when rounding keeps it above:
 its step stops shrinking after falling below 1e-12, or lies under the
 rounding bound of its Newton step (_step_floor): u*sum|v^2 r|/|S'| for
 the secular sum S, and u*sum|v^2 r^2|/|S''| for S', whose zeros the
@@ -69,7 +71,10 @@ that pass.
 Every blocked secular sum goes through one kernel (_power_sums on a row
 block, _cauchy_sums at any points): sum w r^p for p = 1..top, each power one
 product from the last, plus sum |w r^p| for a rounding bound.  Only the cold
-seeds' S'(m) (_slope) and the eigenvector matrix keep their own forms.
+seeds' S'(m) (_slope) and the eigenvector matrix keep their own forms.  The
+norm pass runs the kernel to top = 1 + _AHEAD: its powers past the second
+are the Taylor coefficients of S about each root, from which
+Spectrum.toward predicts the roots at the next coupling of a continuation.
 """
 
 from __future__ import annotations
@@ -94,6 +99,8 @@ from .models import CouplingParameter, EffectiveModel
 
 _GOLDEN = 0.618033988749895
 _NORM_FLOOR = 1e-7  # |psi^T psi|/<psi|psi> below this means the state pair is effectively defective
+_NEWTON = 3  # Newton steps on the local model from its tangent
+_AHEAD = 4  # order of the local model behind Spectrum.toward: the norm pass also sums v^2 r^3 .. v^2 r^(1 + _AHEAD)
 
 
 def _as_lambda(coupling) -> complex:
@@ -308,7 +315,8 @@ def _aberth(eps, logderiv, z0, floor, maxiter=500, tol=5e-14):
     corrections, and z moves only after the pass, so the split changes no
     arithmetic.
 
-    An iterate converges when its relative step falls below tol, or when
+    An iterate converges when its relative step |step|/(unit + |z|) falls
+    below tol, unit being min(1, span of eps) (1 for one pole), or when
     rounding keeps it from getting there: when its step stops shrinking
     after falling below 1e-12, or when a step below 1e-7 that shrank by
     less than a factor of 10 is below floor(z), the absolute rounding bound
@@ -329,6 +337,8 @@ def _aberth(eps, logderiv, z0, floor, maxiter=500, tol=5e-14):
     member, pos = np.divmod(np.arange(z.size), n)
     width = max(n, eps.size)
     eps = eps.astype(complex)  # complex operands spare numpy a casting pass per block
+    span = float(np.ptp(eps.real)) if eps.size else 0.0
+    unit = min(1.0, span) or 1.0  # a step is relative to unit + |z|: to the span of the poles when it is below 1
     active = np.ones(z.size, dtype=bool)
     its = np.zeros(nb, dtype=int)
     twist = np.exp(2j * np.pi * _GOLDEN * np.arange(n))
@@ -362,7 +372,7 @@ def _aberth(eps, logderiv, z0, floor, maxiter=500, tol=5e-14):
             _over_shares(run, idx.size, width)
             wa[~np.isfinite(wa)] = 0.0
             za = z[idx]
-            sa = np.abs(wa) / (1.0 + np.abs(za))
+            sa = np.abs(wa) / (unit + np.abs(za))
             done = sa < tol
             # a step below 1e-7 that shrinks slowly may be rounding noise, not the distance to the root
             low = np.flatnonzero(~done & (sa < 1e-7)) if it else ()
@@ -526,6 +536,13 @@ class Spectrum:
     the transition; above it, the collective seed for the level nearest that
     root and, for every other level, the trapped seed in its adjacent gap
     that faces it).  Continuation never reads the sort of energies.
+
+    toward(coupling) is that warm start moved to another coupling: with
+    vectors requested, the norm pass also kept sum v^2 r^p for p up to
+    1 + _AHEAD at each root, the Taylor coefficients of S there, and each
+    coupled root moves by the root of that truncated series (_predicted).
+    Without them, at lambda = 0 or toward lambda = 0 it is
+    energies[warm_order] itself.
     """
 
     energies: np.ndarray
@@ -535,6 +552,13 @@ class Spectrum:
     hermitian_norms: np.ndarray | None = None
     condition: np.ndarray | None = None
     _build_vectors: Callable[[], np.ndarray] | None = field(default=None, repr=False, compare=False)
+    _ahead: Callable[[np.ndarray, complex], np.ndarray] | None = field(default=None, repr=False, compare=False)
+
+    def toward(self, coupling) -> np.ndarray:
+        """Warm start for a solve at coupling: energies[warm_order], each coupled root moved along its local model."""
+        warm = self.energies[self.warm_order]
+        lam = _as_lambda(coupling)
+        return warm if self._ahead is None or lam == 0 else self._ahead(warm, lam)
 
     @cached_property
     def vectors(self) -> np.ndarray | None:
@@ -671,7 +695,7 @@ def eigen_spectrum(
     e_act = e_sorted[cols]
     norms = np.ones(n)
     cond = np.full(n, np.inf)
-    sums, herm = _cauchy_sums(e_act, eps_a, v2_a, 2, mag=2)
+    sums, herm = _cauchy_sums(e_act, eps_a, v2_a, 1 + _AHEAD, mag=2)
     bil = sums[1]  # psi^T psi = sum v^2 r^2, and herm = <psi|psi> = sum v^2 |r|^2
     cond[cols] = np.abs(bil) / herm
     ill = cols[cond[cols] < _NORM_FLOOR]
@@ -689,7 +713,31 @@ def eigen_spectrum(
         hermitian_norms=norms,
         condition=cond,
         _build_vectors=partial(_c_normalized_vectors, order, act, cols, e_act, eps_a, model.couplings[act], bil),
+        _ahead=partial(_predicted, lam, order[cols], sums) if cols.size else None,
     )
+
+
+def _predicted(lam: complex, levels: np.ndarray, sums: np.ndarray, warm: np.ndarray, lam_next: complex) -> np.ndarray:
+    """warm with the roots of the levels moved from lam to lam_next, in place.
+
+    sums[p] = sum v^2 r^(p+1) at each root E, r = 1/(E - eps).  Since
+    1/(E + d - eps) = sum_p (-r)^p r d^p, the shift d that keeps S = i/Lambda
+    solves sum_{p=1.._AHEAD} (-1)^p sums[p] d^p = i/lam_next - i/lam.  Newton
+    on that polynomial starts from the tangent d = t/a_1.  A root whose d is
+    not finite keeps its place.
+    """
+    t = 1j / lam_next - 1j / lam
+    a = sums[1:] * (-1.0) ** np.arange(1, _AHEAD + 1)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = t / a[0]
+        for _ in range(_NEWTON):
+            f, df = a[-1], _AHEAD * a[-1]
+            for p in range(_AHEAD - 1, 0, -1):
+                f = f * d + a[p - 1]
+                df = df * d + p * a[p - 1]
+            d = d - (f * d - t) / df
+    warm[levels] += np.where(np.isfinite(d), d, 0.0)
+    return warm
 
 
 def _broadest_root(model: EffectiveModel, coupling) -> complex | None:
@@ -724,11 +772,11 @@ def _broadest_root(model: EffectiveModel, coupling) -> complex | None:
     if not ok:
         return None
     # How far top may lie from the root: _aberth's stop does not bound it, since its test is
-    # relative to 1 + |E| and it stops on any non-finite step, which h = 0 gives at a root but
-    # h' = 0 (or an overflow next to a level) anywhere.  One more Newton step and its rounding
-    # bound do: the root is within |step| + bound of top, or twice that for a double root (two
-    # states of half the width each, at an exceptional point), so a width past half by twice
-    # that, with finite sums, is certified.
+    # relative to min(1, span of eps) + |E| and it stops on any non-finite step, which h = 0
+    # gives at a root but h' = 0 (or an overflow next to a level) anywhere.  One more Newton
+    # step and its rounding bound do: the root is within |step| + bound of top, or twice that
+    # for a double root (two states of half the width each, at an exceptional point), so a
+    # width past half by twice that, with finite sums, is certified.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s, size = _cauchy_sums(np.array([top]), eps, v2, 2, mag=1)
         s, size = s[:, 0], size[0]

@@ -7,16 +7,20 @@ import numpy as np
 import pytest
 
 from ep_atlas import (
+    CouplingParameter,
     IllConditionedNormalizationError,
     b_curve,
     b_measure,
     build_perturbed_fence,
     build_picket_fence,
+    build_power_law,
     build_two_level,
+    eigen_spectrum,
     find_peak,
     participation,
     two_level_eps,
 )
+from ep_atlas import collectivity, secular
 
 # Mean Hermitian norm of the 101-level unit ladder at coupling 1/pi, computed
 # independently with dense LAPACK diagonalization at double precision.
@@ -36,6 +40,79 @@ def test_b_curve_from_zero_coupling_matches_cold_solves():
     assert curve.flagged == ()
     np.testing.assert_allclose(curve.values, [b_measure(m, c) for c in lam], rtol=1e-12)
     assert curve.values[1] > 1.04
+
+
+def _split_fence(n):
+    """The picket fence with levels 7 and n // 2 split off (v_k = 0)."""
+    f = build_picket_fence(n)
+    v = f.couplings.copy()
+    v[[7, n // 2]] = 0.0
+    return secular.EffectiveModel(f.epsilons, v, f.recipe)
+
+
+_PREDICTED_MODELS = {
+    "fence": lambda: build_picket_fence(41),
+    "perturbed": lambda: build_perturbed_fence(41, 0.1, 3),
+    "power_law_1_4": lambda: build_power_law(41, 1.0, 4.0),
+    "power_law_0_4": lambda: build_power_law(41, 0.0, 4.0),
+    "split": lambda: _split_fence(41),
+}
+
+
+@pytest.mark.parametrize("phi", [0.0, 37.0])
+@pytest.mark.parametrize("name", sorted(_PREDICTED_MODELS))
+def test_predicted_warm_starts_keep_b(name, phi):
+    # each point continues from Spectrum.toward; B must still be the per-point cold solve's,
+    # on a fine grid from lambda = 0 and on a coarse one whose steps cross the transition
+    m = _PREDICTED_MODELS[name]()
+    for grid in (np.arange(0.0, 1.5001, 0.02), np.arange(0.05, 3.0, 0.25)):
+        curve = b_curve(m, grid, phi=phi)
+        assert curve.flagged == ()
+        cold = [b_measure(m, CouplingParameter(s, phi)) for s in grid]
+        np.testing.assert_allclose(curve.values, cold, rtol=1e-12)
+
+
+def _spy_solves(monkeypatch):
+    """Record (warm-started, iterations) of each solve b_curve makes."""
+    calls = []
+
+    def spy(model, coupling, **kw):
+        try:
+            spec = eigen_spectrum(model, coupling, **kw)
+        except IllConditionedNormalizationError:
+            calls.append((kw.get("warm_start") is not None, None))
+            raise
+        calls.append((kw.get("warm_start") is not None, spec.iterations))
+        return spec
+
+    monkeypatch.setattr(collectivity, "eigen_spectrum", spy)
+    return calls
+
+
+def test_point_after_a_flagged_point_starts_cold(monkeypatch):
+    # phase 30 deg sends the ray through the two-level coalescence at modulus 1
+    m = build_two_level(0.0, 1.0, 30.0)
+    grid = [0.8, 0.9, 1.0, 1.1, 1.2]
+    cold = [b_measure(m, CouplingParameter(s, 30.0)) for s in (0.8, 0.9, 1.1, 1.2)]
+    calls = _spy_solves(monkeypatch)
+    curve = b_curve(m, grid, phi=30.0)
+    assert curve.flagged == (2,)
+    assert math.isnan(curve.values[2])
+    assert [warm for warm, _ in calls] == [False, True, True, False, True]
+    np.testing.assert_allclose(curve.values[[0, 1, 3, 4]], cold, rtol=1e-12)
+
+
+def test_predicted_warm_starts_save_iterations(monkeypatch):
+    m = build_perturbed_fence(201, 0.1, 1)
+    grid = np.arange(0.05, 1.0001, 0.05)
+    calls = _spy_solves(monkeypatch)
+    predicted = b_curve(m, grid)
+    its = sum(i for _, i in calls)
+    calls.clear()
+    monkeypatch.setattr(secular.Spectrum, "toward", lambda self, c: self.energies[self.warm_order])
+    plain = b_curve(m, grid)
+    assert its < sum(i for _, i in calls)
+    np.testing.assert_allclose(predicted.values, plain.values, rtol=1e-12)
 
 
 def test_b_is_at_least_one():

@@ -705,3 +705,38 @@ def test_solves_at_exceptional_points_stop_at_the_rounding_floor(name):
             spec = eigen_spectrum(m, c, warm_start=warm)
             assert spec.iterations <= 40 and spec.residual < 1e-7
             assert_complex_sets_close(spec.energies, ref, atol=2e-8 * scale)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-12])
+@pytest.mark.parametrize("lam", [0.05, 0.3, 2.0])
+def test_roots_keep_their_precision_at_any_energy_scale(scale, lam):
+    # scaling eps and v^2 by s scales every root by s; a step measured against 1 + |E| stopped
+    # the 1e-12 fence at 7.2e-5 of its spacing
+    f = build_picket_fence(7)
+    m = secular.EffectiveModel(f.epsilons * scale, f.couplings * np.sqrt(scale), f.recipe)
+    ref = np.linalg.eigvals(m.hamiltonian(lam))
+    assert_complex_sets_close(eigen_spectrum(m, lam).energies, ref, atol=1e-12 * scale)
+
+
+def test_toward_its_own_coupling_returns_the_roots():
+    m = build_perturbed_fence(41, 0.1, 2)
+    for c in (0.3, CouplingParameter(0.8, 30.0)):
+        spec = eigen_spectrum(m, c, compute_vectors=True)
+        np.testing.assert_array_equal(spec.toward(c), spec.energies[spec.warm_order])
+
+
+def test_toward_predicts_the_next_roots():
+    # the local model moves each root closer to its continuation than the plain warm start
+    m = build_power_law(41, 1.0, 4.0)
+    spec = eigen_spectrum(m, 0.3, compute_vectors=True)
+    nxt = eigen_spectrum(m, 0.32, warm_start=spec.toward(0.32))
+    new = nxt.energies[nxt.warm_order]
+    plain = spec.energies[spec.warm_order]
+    moved = np.abs(plain - new) > 0
+    assert moved.sum() == 40  # the bare centre level stays
+    assert np.all(np.abs(spec.toward(0.32) - new)[moved] < 0.01 * np.abs(plain - new)[moved])
+    # without the norm pass, or toward lambda = 0, the plain warm start is what there is
+    np.testing.assert_array_equal(eigen_spectrum(m, 0.3).toward(0.32), plain)
+    np.testing.assert_array_equal(spec.toward(0.0), plain)
+    bare = eigen_spectrum(m, 0.0, compute_vectors=True)
+    np.testing.assert_array_equal(bare.toward(0.1), m.epsilons.astype(complex))
