@@ -297,7 +297,8 @@ def _separate(z: np.ndarray, jitter: complex) -> np.ndarray:
 def _aberth(eps, logderiv, z0, floor, maxiter=500, tol=5e-14):
     """Simultaneous root iteration; returns (roots, iterations, converged, last_step).
 
-    The roots are those of p(E) = prod_k (E - eps_k) * q(E) for a rational q.
+    The roots are those of p(E) = prod_k (E - eps_k) * q(E) for a rational q,
+    with the poles eps in increasing order.
     z0 is one seed set of shape (n,), or B independent sets of shape (B, n)
     (the members) that share the poles eps.  logderiv(r, m) maps a row block
     r = 1/(z - eps) (one row per iterate) and the member index m of each row
@@ -316,7 +317,8 @@ def _aberth(eps, logderiv, z0, floor, maxiter=500, tol=5e-14):
     arithmetic.
 
     An iterate converges when its relative step |step|/(unit + |z|) falls
-    below tol, unit being min(1, span of eps) (1 for one pole), or when
+    below tol, unit being min(1, eps[-1] - eps[0]) (1 for one pole) so that
+    poles that span less than 1 are solved to their own scale, or when
     rounding keeps it from getting there: when its step stops shrinking
     after falling below 1e-12, or when a step below 1e-7 that shrank by
     less than a factor of 10 is below floor(z), the absolute rounding bound
@@ -337,8 +339,7 @@ def _aberth(eps, logderiv, z0, floor, maxiter=500, tol=5e-14):
     member, pos = np.divmod(np.arange(z.size), n)
     width = max(n, eps.size)
     eps = eps.astype(complex)  # complex operands spare numpy a casting pass per block
-    span = float(np.ptp(eps.real)) if eps.size else 0.0
-    unit = min(1.0, span) or 1.0  # a step is relative to unit + |z|: to the span of the poles when it is below 1
+    unit = min(1.0, float(eps[-1].real - eps[0].real)) or 1.0  # steps are relative to unit + |z|
     active = np.ones(z.size, dtype=bool)
     its = np.zeros(nb, dtype=int)
     twist = np.exp(2j * np.pi * _GOLDEN * np.arange(n))
