@@ -75,6 +75,23 @@ seeds' S'(m) (_slope) and the eigenvector matrix keep their own forms.  The
 norm pass runs the kernel to top = 1 + _AHEAD: its powers past the second
 are the Taylor coefficients of S about each root, from which
 Spectrum.toward predicts the roots at the next coupling of a continuation.
+
+A solve with vectors spends no Aberth row on confirming its roots, in the
+way Aberth solvers end with a Newton check (Bini, Numer. Algorithms 13,
+1996).  _roots hands the roots over once their relative steps are below
+max(tol, _HANDOVER), and the norm pass, which evaluates r at every root in
+any case, holds S and -S' in its first two sums: one Newton step
+d = (S - i/Lambda)/S' per root.  When every d is finite and
+|d|/(unit + |E|) < tol, the roots stand as they are; d is not applied, so
+the norms and the vectors come from the same energies.  Otherwise _roots
+continues from them at tol and the norm pass runs again.  The handover
+step is still an Aberth step, with its repulsion: two iterates next to
+one root take steps of the order of their distance, so they part before
+the handover, and if they did not, the one further from the root would
+have a Newton step (which has no repulsion) of at least half their
+distance, which the check refuses.  The roots of a vector solve agree
+with a vector-less solve's within tol*(unit + |E|), but not always to
+the last bit.
 """
 
 from __future__ import annotations
@@ -101,6 +118,7 @@ _GOLDEN = 0.618033988749895
 _NORM_FLOOR = 1e-7  # |psi^T psi|/<psi|psi> below this means the state pair is effectively defective
 _NEWTON = 3  # Newton steps on the local model from its tangent
 _AHEAD = 4  # order of the local model behind Spectrum.toward: the norm pass also sums v^2 r^3 .. v^2 r^(1 + _AHEAD)
+_HANDOVER = 1e-8  # relative Aberth step at which a vector solve hands its roots to the norm pass's Newton check
 
 
 def _as_lambda(coupling) -> complex:
@@ -294,6 +312,11 @@ def _separate(z: np.ndarray, jitter: complex) -> np.ndarray:
     return z
 
 
+def _step_unit(eps: np.ndarray) -> float:
+    """unit of the relative step |step|/(unit + |z|) over the sorted poles eps: min(1, their span), 1 for one pole."""
+    return min(1.0, float(eps[-1].real - eps[0].real)) or 1.0
+
+
 def _aberth(eps, logderiv, z0, floor, maxiter=500, tol=5e-14):
     """Simultaneous root iteration; returns (roots, iterations, converged, last_step).
 
@@ -339,7 +362,7 @@ def _aberth(eps, logderiv, z0, floor, maxiter=500, tol=5e-14):
     member, pos = np.divmod(np.arange(z.size), n)
     width = max(n, eps.size)
     eps = eps.astype(complex)  # complex operands spare numpy a casting pass per block
-    unit = min(1.0, float(eps[-1].real - eps[0].real)) or 1.0  # steps are relative to unit + |z|
+    unit = _step_unit(eps)  # steps are relative to unit + |z|
     active = np.ones(z.size, dtype=bool)
     its = np.zeros(nb, dtype=int)
     twist = np.exp(2j * np.pi * _GOLDEN * np.arange(n))
@@ -544,6 +567,10 @@ class Spectrum:
     coupled root moves by the root of that truncated series (_predicted).
     Without them, at lambda = 0 or toward lambda = 0 it is
     energies[warm_order] itself.
+
+    residual is the largest relative step that ended the solve: the last
+    Aberth step without vectors, and with them the Newton step of the norm
+    pass's check, |S - i/Lambda|/|S'| over unit + |E| (see eigen_spectrum).
     """
 
     energies: np.ndarray
@@ -655,7 +682,17 @@ def eigen_spectrum(
     non-finite step, which _aberth zeroes, so residual reads 0.0 although
     the pair is only good to about sqrt(machine eps):
     eigen_spectrum(build_picket_fence(2), 0.5) returns -0.50000001j and
-    -0.5j for the double root -0.5j.
+    -0.5j for the double root -0.5j.  Two equal warm_start entries of
+    coupled levels stop the same way: both stay on one root, and another
+    root is missed.
+
+    With compute_vectors the attempt stops at max(tol, _HANDOVER) instead,
+    and the norm pass checks the roots by one Newton step each, which it
+    does not apply; residual is then the largest relative Newton step.
+    Only when that is not below tol does _roots continue from the roots to
+    tol, with maxiter iterations more, before the norm pass runs again.
+    The energies may therefore differ from a vector-less solve's in their
+    last bits, within tol*(unit + |E|) (unit as in _aberth).
 
     compute_vectors fills hermitian_norms and condition and makes vectors
     available; the eigenvector matrix is only built if vectors is read.
@@ -677,26 +714,38 @@ def eigen_spectrum(
         if not np.isfinite(warm_start).all():
             raise ValueError("warm_start entries must be finite")
         warm_start = warm_start[None, :]
-    e_full, its, ok, last = _roots(model, [lam], warm_start, maxiter, tol)
-    e_full, its, last = e_full[0], int(its[0]), float(last[0])
     act, eps_a, v2_a = _active(model)
-    if not ok[0]:
-        diagnostics = {"n": eps_a.size, "lambda": complex(lam), "iterations": its, "max_relative_step": last}
-        raise SolverFailureError("eigenvalue iteration did not converge", diagnostics=diagnostics)
-
-    order = _sorted_order(e_full)
-    e_sorted = e_full[order]
+    act &= lam != 0  # at lambda = 0 every level is bare
+    its = 0
+    for stop in (max(tol, _HANDOVER), tol) if compute_vectors else (tol,):
+        roots, k, ok, last = _roots(model, [lam], warm_start, maxiter, stop)
+        its += int(k[0])
+        e_full, last, warm_start = roots[0], float(last[0]), roots
+        if not ok[0]:
+            diagnostics = {"n": eps_a.size, "lambda": complex(lam), "iterations": its, "max_relative_step": last}
+            raise SolverFailureError("eigenvalue iteration did not converge", diagnostics=diagnostics)
+        order = _sorted_order(e_full)
+        e_sorted = e_full[order]
+        if not compute_vectors:
+            break
+        cols = np.flatnonzero(act[order])
+        e_act = e_sorted[cols]
+        sums, herm = _cauchy_sums(e_act, eps_a, v2_a, 1 + _AHEAD, mag=2)
+        if not cols.size:
+            break
+        # the Newton step on S - i/Lambda from the norm pass's S = sums[0] and -S' = sums[1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = np.abs((sums[0] - 1j / lam) / sums[1]) / (_step_unit(eps_a) + np.abs(e_act))
+        last = float(newton.max())
+        if last < tol:  # false for a non-finite step too
+            break
     warm_order = np.argsort(order)  # the inverse permutation: energies[warm_order] is e_full
 
     if not compute_vectors:
         return Spectrum(energies=e_sorted, iterations=its, residual=last, warm_order=warm_order)
 
-    act &= lam != 0  # at lambda = 0 every level is bare
-    cols = np.flatnonzero(act[order])
-    e_act = e_sorted[cols]
     norms = np.ones(n)
     cond = np.full(n, np.inf)
-    sums, herm = _cauchy_sums(e_act, eps_a, v2_a, 1 + _AHEAD, mag=2)
     bil = sums[1]  # psi^T psi = sum v^2 r^2, and herm = <psi|psi> = sum v^2 |r|^2
     cond[cols] = np.abs(bil) / herm
     ill = cols[cond[cols] < _NORM_FLOOR]

@@ -115,6 +115,33 @@ def test_predicted_warm_starts_save_iterations(monkeypatch):
     np.testing.assert_allclose(predicted.values, plain.values, rtol=1e-12)
 
 
+def test_newton_check_saves_aberth_rows(monkeypatch):
+    # the norm pass confirms the roots that _aberth hands over at _HANDOVER, in place of the rows
+    # that would take every step below tol
+    m = build_perturbed_fence(201, 0.1, 1)
+    grid = np.arange(0.05, 1.0001, 0.05)
+    rows = []
+    logderiv = secular._spectrum_logderiv
+
+    def spy(v2, lam):
+        f = logderiv(v2, lam)
+
+        def counted(r, members):
+            rows.append(r.shape[0])
+            return f(r, members)
+
+        return counted
+
+    monkeypatch.setattr(secular, "_spectrum_logderiv", spy)
+    handed = b_curve(m, grid)
+    handed_rows = sum(rows)
+    rows.clear()
+    monkeypatch.setattr(secular, "_HANDOVER", 5e-14)
+    full = b_curve(m, grid)
+    assert handed_rows <= 0.75 * sum(rows)
+    np.testing.assert_allclose(handed.values, full.values, rtol=1e-12)
+
+
 def test_b_is_at_least_one():
     m = build_picket_fence(21)
     for lam in (0.05, 0.3, 1.0, 5.0):

@@ -14,6 +14,8 @@ from ep_atlas import (
     InvalidCouplingError,
     PoleProximityError,
     SolverFailureError,
+    b_curve,
+    b_measure,
     build_perturbed_fence,
     build_picket_fence,
     build_power_law,
@@ -294,6 +296,9 @@ def test_normalization_blows_up_at_coalescence():
     with pytest.raises(IllConditionedNormalizationError) as err:
         eigen_spectrum(m, ep.coupling, compute_vectors=True)
     assert len(err.value.state_indices) >= 1
+    # the fence's double root -0.5j: the Newton check fails there, and so does the normalization
+    with pytest.raises(IllConditionedNormalizationError):
+        eigen_spectrum(build_picket_fence(2), 0.5, compute_vectors=True)
 
 
 def test_oracle_matches_across_sizes():
@@ -333,18 +338,61 @@ CROSS_MODELS = {
 @pytest.mark.parametrize("phi", [0.0, 45.0])
 @pytest.mark.parametrize("name", sorted(CROSS_MODELS))
 def test_cold_and_warm_solves_match_dense_eigvals(name, phi):
+    # a vector solve hands its roots to the norm pass's Newton check instead of taking a last
+    # Aberth step: level by level they stay within tol*(unit + |E|) of the vector-less roots
     m = CROSS_MODELS[name]()
+    unit = min(1.0, float(np.ptp(m.epsilons[m.couplings != 0])))
     prev = None
     for lam in (0.1, 0.3, 0.33, 2.0):
         c = CouplingParameter(lam, phi)
         ref = np.linalg.eigvals(m.hamiltonian(c))
         scale = max(1.0, float(np.abs(m.epsilons).max()), abs(c.value) * m.coupling_strength)
-        cold = eigen_spectrum(m, c)
-        assert_complex_sets_close(cold.energies, ref, atol=1e-11 * scale)
-        if prev is not None:
-            warm = eigen_spectrum(m, c, warm_start=prev)
-            assert_complex_sets_close(warm.energies, ref, atol=1e-11 * scale)
-        prev = cold.energies
+        for warm in [None] if prev is None else [None, prev]:
+            plain = eigen_spectrum(m, c, warm_start=warm)
+            vec = eigen_spectrum(m, c, warm_start=warm, compute_vectors=True)
+            assert_complex_sets_close(plain.energies, ref, atol=1e-11 * scale)
+            assert_complex_sets_close(vec.energies, ref, atol=1e-11 * scale)
+            e = plain.energies[plain.warm_order]
+            assert np.all(np.abs(vec.energies[vec.warm_order] - e) <= 5e-14 * (unit + np.abs(e)))
+            assert vec.residual < 5e-14
+        prev = plain.energies
+
+
+@pytest.mark.parametrize("apart", [1e-12, 1e-9, 1e-6])
+def test_two_levels_warm_started_on_one_root_find_every_root(apart):
+    # two iterates next to one root take Aberth steps of the order of their distance, so they
+    # part before the handover, and the Newton check would refuse the one left off the root
+    m = build_perturbed_fence(41, 0.1, 2)
+    spec = eigen_spectrum(m, 0.3)
+    warm = spec.energies[spec.warm_order]
+    warm[6] = warm[5] * (1 + apart)
+    got = eigen_spectrum(m, 0.3, warm_start=warm, compute_vectors=True)
+    ref = np.linalg.eigvals(m.hamiltonian(0.3))
+    assert_complex_sets_close(got.energies, ref, atol=1e-12 * float(np.abs(ref).max()))
+    assert np.all(np.isfinite(got.hermitian_norms))
+
+
+def test_failed_newton_check_continues_the_aberth_solve(monkeypatch):
+    # a handover too loose for a cold solve's roots to pass the check: each point falls back to
+    # _roots at tol from the handed-over iterates, and B is still the cold solve's; so is the
+    # warm curve's, whose predicted starts pass the check past lambda = 0.45
+    m = build_perturbed_fence(41, 0.1, 3)
+    grid = np.arange(0.05, 1.0001, 0.05)
+    cold = [b_measure(m, c) for c in grid]
+    stops = []
+    roots = secular._roots
+
+    def spy(*args):
+        stops.append(args[4])
+        return roots(*args)
+
+    monkeypatch.setattr(secular, "_roots", spy)
+    monkeypatch.setattr(secular, "_HANDOVER", 1e-2)
+    np.testing.assert_allclose([b_measure(m, c) for c in grid], cold, rtol=1e-12)
+    assert stops == [1e-2, 5e-14] * grid.size
+    stops.clear()
+    np.testing.assert_allclose(b_curve(m, grid).values, cold, rtol=1e-12)
+    assert stops.count(1e-2) == grid.size and 0 < stops.count(5e-14) < grid.size
 
 
 def test_cold_solve_memory_is_bounded():
@@ -736,7 +784,8 @@ def test_toward_predicts_the_next_roots():
     assert moved.sum() == 40  # the bare centre level stays
     assert np.all(np.abs(spec.toward(0.32) - new)[moved] < 0.01 * np.abs(plain - new)[moved])
     # without the norm pass, or toward lambda = 0, the plain warm start is what there is
-    np.testing.assert_array_equal(eigen_spectrum(m, 0.3).toward(0.32), plain)
+    rootless = eigen_spectrum(m, 0.3)  # its roots may differ from spec's in the last bits
+    np.testing.assert_array_equal(rootless.toward(0.32), rootless.energies[rootless.warm_order])
     np.testing.assert_array_equal(spec.toward(0.0), plain)
     bare = eigen_spectrum(m, 0.0, compute_vectors=True)
     np.testing.assert_array_equal(bare.toward(0.1), m.epsilons.astype(complex))
