@@ -784,8 +784,8 @@ def test_toward_predicts_the_next_roots():
     assert moved.sum() == 40  # the bare centre level stays
     assert np.all(np.abs(spec.toward(0.32) - new)[moved] < 0.01 * np.abs(plain - new)[moved])
     # without the norm pass, or toward lambda = 0, the plain warm start is what there is
-    rootless = eigen_spectrum(m, 0.3)  # its roots may differ from spec's in the last bits
-    np.testing.assert_array_equal(rootless.toward(0.32), rootless.energies[rootless.warm_order])
+    no_vectors = eigen_spectrum(m, 0.3)  # its roots may differ from spec's in the last bits
+    np.testing.assert_array_equal(no_vectors.toward(0.32), no_vectors.energies[no_vectors.warm_order])
     np.testing.assert_array_equal(spec.toward(0.0), plain)
     bare = eigen_spectrum(m, 0.0, compute_vectors=True)
     np.testing.assert_array_equal(bare.toward(0.1), m.epsilons.astype(complex))
