@@ -313,7 +313,7 @@ def _separate(z: np.ndarray, jitter: complex) -> np.ndarray:
 
 
 def _step_unit(eps: np.ndarray) -> float:
-    """unit of the relative step |step|/(unit + |z|) over the sorted poles eps: min(1, their span), 1 for one pole."""
+    """The unit of a relative step |step|/(unit + |z|) over the sorted poles eps: min(1, their span), 1 for one pole."""
     return min(1.0, float(eps[-1].real - eps[0].real)) or 1.0
 
 
@@ -734,7 +734,7 @@ def eigen_spectrum(
         if not cols.size:
             break
         # the Newton step on S - i/Lambda from the norm pass's S = sums[0] and -S' = sums[1]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             newton = np.abs((sums[0] - 1j / lam) / sums[1]) / (_step_unit(eps_a) + np.abs(e_act))
         last = float(newton.max())
         if last < tol:  # false for a non-finite step too
