@@ -12,19 +12,27 @@ the zeros of S'(E) are the roots of the polynomial
     R(E) = sum_k v_k^2 prod_{j != k} (E - eps_j)^2,
 
 of degree 2(N-1), and each zero E* yields its coupling as Lambda = i/S(E*).
-R is found with the spectrum's Ehrlich-Aberth engine (secular._aberth), fed
-the rational log-derivative R'/R = S''/S' + sum_k 2/(E - eps_k); then two
-coupled Newton steps on (S - i/Lambda, S') from Lambda = i/S(E*) polish all
-roots at once, the second step's size being the residual.
+For real models R has real coefficients and no real root: R(x) > 0 at
+every real x, since off the levels every term is > 0, and at a level eps_m
+the term k = m is (the coupled levels being distinct).  So its roots are
+N-1 conjugate pairs (E*, conj E*), and the
+exceptional couplings are closed under Lambda -> -conj(Lambda).  The search
+therefore iterates only the N-1 roots in the upper half plane, seeded by
+the upper coalescence of each adjacent two-level pair, with the
+spectrum's Ehrlich-Aberth engine (secular._aberth with conjugates, whose
+repulsion counts the mirror images as the other half of the roots), fed
+the rational log-derivative R'/R = S''/S' + sum_k 2/(E - eps_k).  Two
+coupled Newton steps on (S - i/Lambda, S') from Lambda = i/S(E*) polish
+every root, the second step's size being the residual.
 
-For real models R has real coefficients, so its roots come in conjugate
-pairs and the exceptional couplings are closed under Lambda -> -conj(Lambda).
-One member per such pair is reported, canonicalized to Re Lambda >= 0 (ties
+Each root gives one representative, canonicalized to Re Lambda >= 0 (ties
 broken toward Im Lambda >= 0); a model with N coupled levels has exactly
-N - 1 representatives, 2(N-1) points in total.  The two roots of R behind a
-representative are paired by distance, not by adjacency in a sort, because
-mirror-symmetric models produce distinct pairs whose Re Lambda tie to the
-last bit; for the same reason their order treats Re Lambda within
+N - 1 representatives, 2(N-1) points in total.  A search that does not
+converge, or leaves a root on the real axis or two roots within
+1e-6*(1 + |E|) of each other, raises IncompleteSearchError with one
+representative per distinct root off the axis (none when it did not
+converge).  Mirror-symmetric models produce distinct pairs whose
+Re Lambda tie to the last bit, so the order treats Re Lambda within
 1e-12*max(1, |Lambda|) as a tie, broken by Im Lambda.  Levels with v_k = 0
 are decoupled and take no part.
 """
@@ -39,7 +47,7 @@ import numpy as np
 
 from .errors import IncompleteSearchError
 from .models import EffectiveModel, build_picket_fence
-from .secular import _aberth, _active, _cauchy_sums, _power_sums, _separate, _step_floor, _tie_order
+from .secular import _aberth, _active, _cauchy_sums, _crowded, _power_sums, _separate, _step_floor, _tie_order
 
 _TOL = 5e-14  # Aberth stopping tolerance for the roots of R
 
@@ -61,18 +69,16 @@ class ExceptionalPoint:
 
 
 def _gap_seeds(eps: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """Two seeds per adjacent gap from the local two-level closed form.
+    """One seed per adjacent gap, in the upper half plane, from the local two-level closed form.
 
     An isolated pair (eps_k, eps_k+1) with amplitudes (v_k, v_k+1) has its
     coalescences at E = midpoint + halfgap * exp(-+ 2j*w), w = atan2 of the
-    amplitudes; those points seed the full search.
+    amplitudes in (0, pi/2); the upper one seeds the search.
     """
     mid = (eps[1:] + eps[:-1]) / 2.0
     half = (eps[1:] - eps[:-1]) / 2.0
     w = np.arctan2(np.sqrt(v2[1:]), np.sqrt(v2[:-1]))
-    up = mid + half * np.exp(2j * w)
-    dn = mid + half * np.exp(-2j * w)
-    return np.concatenate([dn, up])
+    return mid + half * np.exp(2j * w)
 
 
 def _r_logderiv(v2: np.ndarray):
@@ -94,67 +100,58 @@ def _canonical(e: complex, lam: complex) -> tuple[complex, complex]:
     return e, lam
 
 
+def _polished(roots: np.ndarray, eps: np.ndarray, v2: np.ndarray):
+    """(E, Lambda, residual) of each root of R by coupled Newton on (S - i/Lambda, S') from Lambda = i/S.
+
+    The roots solve S' = 0 to _TOL, so the first step reaches rounding and
+    the size of the second is the residual.
+    """
+    e, lam = roots, None
+    for _ in range(2):
+        s, s2, s3 = _cauchy_sums(e, eps, v2, 3)  # S, -S' and S''/2
+        lam = 1j / s if lam is None else lam
+        de = s2 / (2.0 * s3)
+        dl = 1j * (s - 1j / lam - s2 * de) * lam * lam
+        e, lam = e + de, lam + dl
+    return e, lam, np.abs(de) / (1.0 + np.abs(e)) + np.abs(dl) / (1.0 + np.abs(lam))
+
+
 def find_eps(model: EffectiveModel) -> list[ExceptionalPoint]:
     """All exceptional-point representatives of the model, one per mirror pair.
 
     Returns N_active - 1 points sorted by Re coupling, ties in Re ordered by
     Im, each with the size of its last Newton step as residual (rounding
-    noise, well below 1e-9).  Raises IncompleteSearchError (carrying the
-    pairs that formed) if the one Aberth attempt from the gap seeds does not
-    converge or its roots do not pair into the full set.
+    noise, well below 1e-9).  One Aberth attempt iterates the N_active - 1
+    roots of R in the upper half plane from the gap seeds, their conjugates
+    taking part through the repulsion (_aberth's conjugates).  Raises
+    IncompleteSearchError if that attempt does not converge (found is then
+    empty), or if a root ends on the real axis or two roots lie within
+    1e-6*(1 + |E|) of each other: found then holds one representative per
+    distinct root off the axis, the first of each crowded group.
     """
     _, eps, v2 = _active(model)
     m = eps.size
     if m < 2:
         return []
     z0 = _separate(_gap_seeds(eps, v2), 0.7 + 0.3j)
-    roots, _, ok, _ = _aberth(eps, _r_logderiv(v2), z0, floor=partial(_step_floor, eps, v2, 2), maxiter=600, tol=_TOL)
-    pts = []
-    if ok:
-        # coupled Newton on (S - i/Lambda, S') from Lambda = i/S: the roots solve S' = 0 to _TOL, so
-        # the first step reaches rounding and the size of the second is the residual
-        e, lam = roots, None
-        for _ in range(2):
-            s, s2, s3 = _cauchy_sums(e, eps, v2, 3)  # S, -S' and S''/2
-            lam = 1j / s if lam is None else lam
-            de = s2 / (2.0 * s3)
-            dl = 1j * (s - 1j / lam - s2 * de) * lam * lam
-            e, lam = e + de, lam + dl
-        res = np.abs(de) / (1.0 + np.abs(e)) + np.abs(dl) / (1.0 + np.abs(lam))
-        pts = [_canonical(a, b) + (c,) for a, b, c in zip(e, lam, res)]
-    reps = _cluster(pts)
-    if len(reps) == m - 1:
-        return reps
-    raise IncompleteSearchError("could not account for all %d exceptional-point pairs" % (m - 1), found=reps)
-
-
-def _cluster(pts) -> list[ExceptionalPoint]:
-    """Group canonicalized points into mirror pairs, skipping any point without exactly one partner.
-
-    Each point is paired with its unique unused partner within 1e-6 in both
-    coupling and energy.  Partners are looked up by distance rather than by
-    adjacency in a sort: on mirror-symmetric models distinct pairs tie in
-    Re Lambda up to the last bit and interleave in any lexicographic order.
-    """
-    lams = np.array([p[1] for p in pts])
-    ens = np.array([p[0] for p in pts])
-    used = np.zeros(len(pts), dtype=bool)
+    floor = partial(_step_floor, eps, v2, 2)
+    roots, _, ok, _ = _aberth(eps, _r_logderiv(v2), z0, floor=floor, maxiter=600, tol=_TOL, conjugates=True)
     reps = []
-    for i in range(len(pts)):
-        if used[i]:
-            continue
-        used[i] = True
-        near = (np.abs(lams - lams[i]) <= 1e-6 * (1.0 + abs(lams[i]))) & (
-            np.abs(ens - ens[i]) <= 1e-6 * (1.0 + abs(ens[i]))
-        )
-        j = np.flatnonzero(near & ~used)
-        if j.size != 1:
-            continue
-        used[j[0]] = True
-        a, b = pts[i], pts[j[0]]
-        reps.append(((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0, max(a[2], b[2])))
-    reps = [reps[j] for j in _coupling_order(np.array([p[1] for p in reps], dtype=complex))]
-    return [ExceptionalPoint(lam, e, -np.conj(lam), res, i) for i, (e, lam, res) in enumerate(reps)]
+    if ok:
+        # fold to Im E > 0; an iterate that reached the real axis stopped there on a zeroed step
+        roots = np.where(roots.imag < 0, roots.conj(), roots)
+        keep = roots.imag > 0
+        crowded = np.flatnonzero(_crowded(roots, 1e-6 * (1.0 + np.abs(roots))))
+        for k, i in enumerate(crowded):  # the first of each crowded group stays
+            kept = crowded[:k][keep[crowded[:k]]]
+            keep[i] &= not (np.abs(roots[kept] - roots[i]) < 1e-6 * (1.0 + abs(roots[i]))).any()
+        e, lam, res = _polished(roots[keep], eps, v2)
+        pts = [_canonical(a, b) + (c,) for a, b, c in zip(e, lam, res)]
+        pts = [pts[j] for j in _coupling_order(np.array([p[1] for p in pts], dtype=complex))]
+        reps = [ExceptionalPoint(b, a, -np.conj(b), c, i) for i, (a, b, c) in enumerate(pts)]
+        if keep.all():
+            return reps
+    raise IncompleteSearchError("could not account for all %d exceptional-point pairs" % (m - 1), found=reps)
 
 
 def _coupling_order(lam: np.ndarray) -> np.ndarray:

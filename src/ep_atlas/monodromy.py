@@ -3,14 +3,17 @@
 Encircling a square-root exceptional point once swaps the two coalescing
 states and multiplies one of them by -1; the loop must be traversed four
 times to return every vector to itself.  Transport is implemented by
-continuation: the coupling walks the contour, each spectrum is solved warm
-from the previous point and read in level order (Spectrum.warm_order), so
-initial state k is that of level k, and the c-normalized vectors keep
-their sign by demanding a near-unit bilinear overlap psi_prev^T psi_next
-between consecutive samples (for the complex-symmetric H the transposed
-vectors are the left eigenvectors, so these overlaps are the natural
-expansion coefficients).  If the worst step overlap falls below threshold
-the contour is resampled more finely before giving up.
+continuation: the roots walk the contour by the batched continuation of a
+sweep (trajectories._walk, with the winding parameter t in place of
+lambda), in level order, so initial state k is that of level k.  Each
+sample's c-normalized vectors are then built from its roots as
+eigen_spectrum builds them (secular._level_vectors), and they keep their
+sign by demanding a near-unit bilinear overlap psi_prev^T psi_next between
+consecutive samples (for the complex-symmetric H the transposed vectors
+are the left eigenvectors, so these overlaps are the natural expansion
+coefficients).  If the worst step overlap falls below threshold, or the
+walk cannot match a step, the contour is resampled more finely before
+giving up.
 
 Positive winding numbers traverse the contour clockwise,
 Lambda(t) = center + radius * exp(-2j*pi*t): one clockwise winding steps the
@@ -29,10 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContourError, InvalidCouplingError, ResolutionError, ThetaSingularError
+from .errors import ContourError, InvalidCouplingError, ResolutionError, ThetaSingularError, TrajectoryAmbiguityError
 from .models import EffectiveModel, build_two_level
-from .secular import _two_level_quadratic, eigen_spectrum
+from .secular import _level_vectors, _two_level_quadratic, eigen_spectrum  # noqa: F401 (bench/tracer.py wraps eigen_spectrum here)
 from .exceptional import expand_ep_set, find_eps, two_level_eps
+from .trajectories import _walk
 
 _MIN_OVERLAP = 0.99  # worst accepted bilinear overlap between consecutive samples
 _MAX_REFINEMENTS = 4  # sample doublings before ResolutionError
@@ -90,15 +94,19 @@ def _fix_gauge(m: np.ndarray, perm: tuple[int, ...], signs: tuple[int, ...]):
     return m, signs
 
 
-def _transport(model, contour):
-    spec = eigen_spectrum(model, contour[0], compute_vectors=True)
-    e = spec.energies[spec.warm_order]
-    v = v0 = spec.vectors[:, spec.warm_order]  # read only: each step builds new arrays
+def _transport(model, t, contour):
+    """(first vectors, last vectors, worst step overlap) of the states walked along contour.
+
+    The roots are continued by trajectories._walk (policy 'raise') with the
+    winding parameter t; each sample's c-normalized vectors in level order
+    then come from its roots, and every vector keeps the sign of a
+    positive bilinear overlap psi_prev^T psi_next with its predecessor.
+    """
+    rows, _ = _walk(model, t, contour, "raise")
+    v = v0 = _level_vectors(model, rows[0], contour[0])
     worst = 1.0
-    for c in contour[1:]:
-        spec = eigen_spectrum(model, c, warm_start=e, compute_vectors=True)
-        e = spec.energies[spec.warm_order]
-        vnew = spec.vectors[:, spec.warm_order]
+    for e, c in zip(rows[1:], contour[1:]):
+        vnew = _level_vectors(model, e, c)
         ov = np.einsum("ki,ki->i", v, vnew)  # bilinear psi_prev^T psi_next per state
         flip = ov.real < 0
         vnew[:, flip] = -vnew[:, flip]
@@ -156,8 +164,11 @@ def loop_ep(
 
     per_wind = int(samples)
     for _ in range(_MAX_REFINEMENTS + 1):
-        _, contour = _contour(center, radius, windings, per_wind)
-        v0, v_end, worst = _transport(model, contour)
+        t, contour = _contour(center, radius, windings, per_wind)
+        try:
+            v0, v_end, worst = _transport(model, t, contour)
+        except TrajectoryAmbiguityError:  # a step the walk cannot match is a resolution failure too
+            worst = 0.0
         if worst >= _MIN_OVERLAP:
             m = v_end.T @ v0  # rows: transported states in the initial basis
             perm = tuple(int(np.argmax(np.abs(m[i]))) for i in range(m.shape[0]))

@@ -301,14 +301,18 @@ def _crowded(z: np.ndarray, reach) -> np.ndarray:
 def _separate(z: np.ndarray, jitter: complex) -> np.ndarray:
     """Push apart iterates closer than 1e-12*scale, in place, so the repulsion term is finite.
 
-    Up to three rounds; the k-th offending iterate moves by k*1e-6*scale*jitter.
+    z is one row of iterates or a (B, N) stack of rows, each row with its own
+    scale max(1, max |z|).  Up to three rounds; the k-th offending iterate of
+    a row moves by k*1e-6*scale*jitter.
     """
-    scale = max(1.0, float(np.abs(z).max()))
+    zm = z[None, :] if z.ndim == 1 else z
+    scale = np.maximum(1.0, np.abs(zm).max(axis=1, initial=0.0))[:, None]
     for _ in range(3):
-        bad = np.flatnonzero(_crowded(z, 1e-12 * scale))
-        if bad.size == 0:
+        bad = _crowded(zm, 1e-12 * scale)
+        if not bad.any():
             break
-        z[bad] += (np.arange(bad.size) + 1) * 1e-6 * scale * jitter
+        row, col = np.nonzero(bad)
+        zm[row, col] += np.cumsum(bad, axis=1)[row, col] * 1e-6 * scale[row, 0] * jitter
     return z
 
 
@@ -317,7 +321,7 @@ def _step_unit(eps: np.ndarray) -> float:
     return min(1.0, float(eps[-1].real - eps[0].real)) or 1.0
 
 
-def _aberth(eps, logderiv, z0, floor, maxiter=500, tol=5e-14):
+def _aberth(eps, logderiv, z0, floor, maxiter=500, tol=5e-14, conjugates=False):
     """Simultaneous root iteration; returns (roots, iterations, converged, last_step).
 
     The roots are those of p(E) = prod_k (E - eps_k) * q(E) for a rational q,
@@ -355,12 +359,21 @@ def _aberth(eps, logderiv, z0, floor, maxiter=500, tol=5e-14):
     of the seed configuration).  Every member gets the iterates, iteration
     count, converged flag and last_step that it would get alone; for a
     (B, n) seed they come back as (B, n), (B,), (B,) and (B,) arrays.
+
+    With conjugates, p has real coefficients and no real root, so its roots
+    are conjugate pairs, and each member iterates one root per pair: the
+    repulsion term of an iterate also sums 1/(z - conj z_j) over every
+    iterate of its member, its own included.  That is Aberth's iteration on
+    all 2n roots, the mirror images standing in for the other half.  A row
+    then holds 2n repulsion entries, which the block sizing counts.  An
+    iterate that reaches the real axis meets its own image there, and the
+    zeroed non-finite step stops it; the caller must check Im z.
     """
     zm = np.array(z0, dtype=complex, ndmin=2, order="C")
     nb, n = zm.shape
     z = zm.reshape(-1)
     member, pos = np.divmod(np.arange(z.size), n)
-    width = max(n, eps.size)
+    width = max(2 * n if conjugates else n, eps.size)
     eps = eps.astype(complex)  # complex operands spare numpy a casting pass per block
     unit = _step_unit(eps)  # steps are relative to unit + |z|
     active = np.ones(z.size, dtype=bool)
@@ -387,6 +400,11 @@ def _aberth(eps, logderiv, z0, floor, maxiter=500, tol=5e-14):
                     zz[np.arange(ib.size), pos[ib]] = np.inf
                     np.reciprocal(zz, out=zz)
                     repel = zz.sum(axis=1)
+                    if conjugates:  # the mirror images, the iterate's own among them
+                        np.conjugate(zm[mb], out=zz)
+                        np.subtract(zb[:, None], zz, out=zz)
+                        np.reciprocal(zz, out=zz)
+                        repel += zz.sum(axis=1)
                     del zz  # one block temporary at a time: the callback makes its own
                     r = zb[:, None] - eps[None, :]
                     np.reciprocal(r, out=r)
@@ -541,6 +559,39 @@ def _c_normalized_vectors(order, act, cols, e, eps_a, v_a, bil) -> np.ndarray:
     return vec
 
 
+def _condition(cols: np.ndarray, bil: np.ndarray, herm: np.ndarray) -> np.ndarray:
+    """|psi^T psi| / <psi|psi> of the coupled states cols from the norm pass's sums.
+
+    bil is psi^T psi = sum v^2 r^2 and herm is <psi|psi> = sum v^2 |r|^2.
+    Raises IllConditionedNormalizationError, naming those of cols, where it
+    is below _NORM_FLOOR.
+    """
+    cond = np.abs(bil) / herm
+    ill = cols[cond < _NORM_FLOOR]
+    if ill.size:
+        raise IllConditionedNormalizationError(
+            "states too close to an exceptional point for c-normalization",
+            state_indices=tuple(int(c) for c in ill),
+        )
+    return cond
+
+
+def _level_vectors(model: EffectiveModel, roots: np.ndarray, coupling) -> np.ndarray:
+    """N x N matrix of c-normalized eigenvectors at coupling, column k for roots[k], the root of level k.
+
+    roots are in level order, as _roots returns them.  One norm pass, the
+    check of _condition (naming levels) and _c_normalized_vectors with the
+    levels as the order, as eigen_spectrum builds its vectors.
+    """
+    act, eps_a, v2_a = _active(model)
+    act &= _as_lambda(coupling) != 0  # at lambda = 0 every level is bare
+    levels = np.flatnonzero(act)
+    e = roots[levels]
+    sums, herm = _cauchy_sums(e, eps_a, v2_a, 2, mag=2)
+    _condition(levels, sums[1], herm)
+    return _c_normalized_vectors(np.arange(roots.size), act, levels, e, eps_a, model.couplings[act], sums[1])
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues (sorted by real part, then imaginary) and per-state data.
@@ -646,7 +697,7 @@ def _roots(model: EffectiveModel, couplings, seeds=None, maxiter: int = 500, tol
         if seeds is None:
             z0 = np.array([_seeds(eps, v2, lams[b]) for b in live])
         else:
-            z0 = _off_poles(np.asarray(seeds, dtype=complex)[at], eps, v2, lam[live, None])
+            z0 = _separate(_off_poles(np.asarray(seeds, dtype=complex)[at], eps, v2, lam[live, None]), 0.7 + 0.7j)
         floor = partial(_step_floor, eps, v2, 1)
         roots[at], its[live], ok[live], last[live] = _aberth(
             eps, _spectrum_logderiv(v2, lam[live]), z0, floor=floor, maxiter=maxiter, tol=tol
@@ -682,9 +733,9 @@ def eigen_spectrum(
     non-finite step, which _aberth zeroes, so residual reads 0.0 although
     the pair is only good to about sqrt(machine eps):
     eigen_spectrum(build_picket_fence(2), 0.5) returns -0.50000001j and
-    -0.5j for the double root -0.5j.  Two equal warm_start entries of
-    coupled levels stop the same way: both stay on one root, and another
-    root is missed.
+    -0.5j for the double root -0.5j.  Warm entries closer than rounding,
+    equal ones included, are pushed apart first (_separate), as cold seeds
+    are.
 
     With compute_vectors the attempt stops at max(tol, _HANDOVER) instead,
     and the norm pass checks the roots by one Newton step each, which it
@@ -746,14 +797,8 @@ def eigen_spectrum(
 
     norms = np.ones(n)
     cond = np.full(n, np.inf)
-    bil = sums[1]  # psi^T psi = sum v^2 r^2, and herm = <psi|psi> = sum v^2 |r|^2
-    cond[cols] = np.abs(bil) / herm
-    ill = cols[cond[cols] < _NORM_FLOOR]
-    if ill.size:
-        raise IllConditionedNormalizationError(
-            "states too close to an exceptional point for c-normalization",
-            state_indices=tuple(int(c) for c in ill),
-        )
+    bil = sums[1]
+    cond[cols] = _condition(cols, bil, herm)
     norms[cols] = 1.0 / cond[cols]
     return Spectrum(
         energies=e_sorted,

@@ -20,7 +20,9 @@ eigen_spectrum, and its step is bisected until it passes the same test.
 An exceptional point crossed by the path makes the continuation genuinely
 undefined (the two branches reconnect at equal distances), which surfaces
 as TrajectoryAmbiguityError unless the caller opts into a restart from a
-cold solve at such points.
+cold solve at such points.  This walk, _walk, takes any path of couplings
+with a real parameter for the secant (lambda here); the monodromy loop
+walks its contour with it too, by the winding parameter.
 
 The order parameter walks a grid too, but needs only the broadest width at
 each point.  Past the collectivity transition one state holds more than half
@@ -101,6 +103,62 @@ def _advance(model, prev_roots, c_from, c_to, depth):
     return _advance(model, roots_mid, mid, c_to, depth - 1)
 
 
+def _walk(model: EffectiveModel, param: np.ndarray, couplings: np.ndarray, policy: str):
+    """Continue all roots along the path couplings, point by point; returns (rows, ambiguous intervals).
+
+    rows[i] holds the roots at couplings[i] in level order, the first row
+    from a cold solve.  param is a real parameter of the path (lambda for a
+    sweep, the winding parameter for a loop); it drives the secant
+    extrapolation of the seeds and names the intervals.  An interval whose
+    step cannot be matched even after bisection raises
+    TrajectoryAmbiguityError under policy 'raise'; under 'sorted' it is
+    recorded and the walk restarts from a cold solve there.
+    """
+    n = model.n
+    rows = np.empty((param.size, n), dtype=complex)
+    spec = eigen_spectrum(model, couplings[0])
+    rows[0] = spec.energies[spec.warm_order]
+    bad: list[tuple[float, float]] = []
+    # the engine holds two batch-sized temporaries at once (r and the callback's product):
+    # half a row block each keeps the pair within one block
+    cap = max(1, _BLOCK // (2 * n**2))
+    size = 1
+    fresh = 0  # first row of the current run of matched rows
+    i = 1
+    while i < param.size:
+        k = min(size, cap, param.size - i)
+        prev = rows[i - 1]
+        if i - fresh >= 2 and param[i - 1] != param[i - 2]:
+            t = (param[i : i + k] - param[i - 1]) / (param[i - 1] - param[i - 2])
+            seeds = prev + t[:, None] * (prev - rows[i - 2])
+        else:
+            seeds = np.repeat(prev[None, :], k, axis=0)
+        roots, _, ok, _ = _roots(model, couplings[i : i + k], seeds)
+        ok &= _matched(np.concatenate((prev[None, :], roots[:-1])), roots)
+        good = k if ok.all() else int(np.argmin(ok))
+        rows[i : i + good] = roots[:good]
+        i += good
+        if good == k:
+            size = min(2 * size, cap)
+            continue
+        size = 1
+        roots, ok = _advance(model, rows[i - 1], couplings[i - 1], couplings[i], _MAX_BISECT)
+        if not ok:
+            if policy == "raise":
+                raise TrajectoryAmbiguityError(
+                    "branch matching undefined in (%g, %g); an exceptional point "
+                    "lies on or next to the path" % (param[i - 1], param[i]),
+                    interval=(float(param[i - 1]), float(param[i])),
+                )
+            bad.append((float(param[i - 1]), float(param[i])))
+            spec = eigen_spectrum(model, couplings[i])
+            roots = spec.energies[spec.warm_order]
+            fresh = i
+        rows[i] = roots
+        i += 1
+    return rows, tuple(bad)
+
+
 def sweep(
     model: EffectiveModel,
     lam_values,
@@ -125,56 +183,14 @@ def sweep(
     lam = _grid(lam_values)
     if lam.size == 0:
         raise ValueError("empty coupling grid")
-    phase = phase_factor(phi)
-    cs = lam * phase
-    n = model.n
-    rows = np.empty((lam.size, n), dtype=complex)
-    spec = eigen_spectrum(model, cs[0])
-    rows[0] = spec.energies[spec.warm_order]
-    bad: list[tuple[float, float]] = []
-    # the engine holds two batch-sized temporaries at once (r and the callback's product):
-    # half a row block each keeps the pair within one block
-    cap = max(1, _BLOCK // (2 * n**2))
-    size = 1
-    fresh = 0  # first row of the current run of matched rows
-    i = 1
-    while i < lam.size:
-        k = min(size, cap, lam.size - i)
-        prev = rows[i - 1]
-        if i - fresh >= 2 and lam[i - 1] != lam[i - 2]:
-            t = (lam[i : i + k] - lam[i - 1]) / (lam[i - 1] - lam[i - 2])
-            seeds = prev + t[:, None] * (prev - rows[i - 2])
-        else:
-            seeds = np.repeat(prev[None, :], k, axis=0)
-        roots, _, ok, _ = _roots(model, cs[i : i + k], seeds)
-        ok &= _matched(np.concatenate((prev[None, :], roots[:-1])), roots)
-        good = k if ok.all() else int(np.argmin(ok))
-        rows[i : i + good] = roots[:good]
-        i += good
-        if good == k:
-            size = min(2 * size, cap)
-            continue
-        size = 1
-        roots, ok = _advance(model, rows[i - 1], cs[i - 1], cs[i], _MAX_BISECT)
-        if not ok:
-            if policy == "raise":
-                raise TrajectoryAmbiguityError(
-                    "branch matching undefined in (%g, %g); an exceptional point "
-                    "lies on or next to the path" % (lam[i - 1], lam[i]),
-                    interval=(float(lam[i - 1]), float(lam[i])),
-                )
-            bad.append((float(lam[i - 1]), float(lam[i])))
-            spec = eigen_spectrum(model, cs[i])
-            roots = spec.energies[spec.warm_order]
-            fresh = i
-        rows[i] = roots
-        i += 1
+    cs = lam * phase_factor(phi)
+    rows, bad = _walk(model, lam, cs, policy)
     return Trajectory(
         lambdas=lam,
         couplings=cs,
         energies=rows,
         phi_deg=float(phi),
-        ambiguous_intervals=tuple(bad),
+        ambiguous_intervals=bad,
     )
 
 

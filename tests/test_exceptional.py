@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from ep_atlas import (
     IncompleteSearchError,
     OracleRangeError,
     accumulation_scan,
+    build_perturbed_fence,
     build_picket_fence,
     build_power_law,
     build_two_level,
@@ -20,7 +22,7 @@ from ep_atlas import (
     resultant_oracle,
     two_level_eps,
 )
-from ep_atlas import exceptional
+from ep_atlas import exceptional, secular
 from helpers import assert_complex_sets_close
 
 # Exact coalescence couplings of the 3-level unit ladder (energies -1, 0, 1).
@@ -263,6 +265,86 @@ def test_unpaired_root_keeps_the_pairs_that_formed(monkeypatch):
     with pytest.raises(IncompleteSearchError) as err:
         find_eps(build_picket_fence(7))
     assert len(calls) == 1
+    assert len(err.value.found) == 5
+    for p in err.value.found:
+        assert min(abs(p.coupling - q.coupling) for q in full) < 1e-12
+
+
+def _split_fence(n):
+    """The picket fence with levels 3 and n // 2 split off (v_k = 0)."""
+    f = build_picket_fence(n)
+    v = f.couplings.copy()
+    v[[3, n // 2]] = 0.0
+    return secular.EffectiveModel(f.epsilons, v, f.recipe)
+
+
+CONJUGATE_FAMILIES = {
+    "fence": build_picket_fence,
+    "perturbed_fence": lambda n: build_perturbed_fence(n, 0.1, 41),
+    "power_law_0_1.5": lambda n: build_power_law(n, 0.0, 1.5),
+    "power_law_1_3": lambda n: build_power_law(n, 1.0, 3.0),
+    "power_law_1_4": lambda n: build_power_law(n, 1.0, 4.0),
+    "power_law_0_4": lambda n: build_power_law(n, 0.0, 4.0),
+    "power_law_2_6": lambda n: build_power_law(n, 2.0, 6.0),
+    "split_fence": _split_fence,
+}
+
+
+def _full_search(m):
+    """Representatives from an Aberth search for all 2(N-1) roots of R, the upper ones polished."""
+    _, eps, v2 = secular._active(m)
+    up = exceptional._gap_seeds(eps, v2)
+    z0 = secular._separate(np.concatenate([up.conj(), up]), 0.7 + 0.3j)
+    floor = partial(secular._step_floor, eps, v2, 2)
+    roots, _, ok, _ = secular._aberth(eps, exceptional._r_logderiv(v2), z0, floor=floor, maxiter=600, tol=5e-14)
+    assert ok
+    upper = roots[roots.imag > 0]
+    assert upper.size == eps.size - 1
+    e, lam, _ = exceptional._polished(upper, eps, v2)
+    return [exceptional._canonical(a, b) for a, b in zip(e, lam)]
+
+
+@pytest.mark.parametrize("n", [6, 21, 201])
+@pytest.mark.parametrize("name", sorted(CONJUGATE_FAMILIES))
+def test_conjugate_search_matches_the_full_search(name, n):
+    m = CONJUGATE_FAMILIES[name](n)
+    reps = find_eps(m)
+    full = _full_search(m)
+    assert len(reps) == len(full) == np.count_nonzero(m.couplings) - 1
+    for p in reps:
+        d = [max(abs(p.energy - e) / (1 + abs(e)), abs(p.coupling - lam) / (1 + abs(lam))) for e, lam in full]
+        assert min(d) <= 1e-12
+    if n <= 6:
+        assert_complex_sets_close(expand_ep_set(reps), resultant_oracle(m), atol=1e-9)
+
+
+def test_search_iterates_one_root_per_conjugate_pair(monkeypatch):
+    seeds = []
+    aberth = exceptional._aberth
+
+    def spy(eps, logderiv, z0, **kw):
+        seeds.append((np.array(z0), kw.get("conjugates")))
+        return aberth(eps, logderiv, z0, **kw)
+
+    monkeypatch.setattr(exceptional, "_aberth", spy)
+    for m in (build_picket_fence(43), build_power_law(101, 1.0, 4.0)):
+        seeds.clear()
+        find_eps(m)
+        (z0, conjugates), = seeds
+        assert z0.shape == (np.count_nonzero(m.couplings) - 1,)
+        assert (z0.imag > 0).all() and conjugates
+
+
+def test_root_on_the_real_axis_raises(monkeypatch):
+    full = find_eps(build_picket_fence(7))
+
+    def onto_the_axis(roots, ok):
+        roots[2] = roots[2].real
+        return roots, ok
+
+    _spy_aberth(monkeypatch, onto_the_axis)
+    with pytest.raises(IncompleteSearchError) as err:
+        find_eps(build_picket_fence(7))
     assert len(err.value.found) == 5
     for p in err.value.found:
         assert min(abs(p.coupling - q.coupling) for q in full) < 1e-12

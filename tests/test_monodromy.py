@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from ep_atlas import monodromy, trajectories
 from ep_atlas import (
     ContourError,
     InvalidCouplingError,
     ThetaSingularError,
+    TrajectoryAmbiguityError,
     build_picket_fence,
     build_power_law,
     build_two_level,
@@ -251,4 +253,64 @@ def test_loop_needs_whole_windings(windings):
 def test_three_samples_per_winding_enclose_the_point():
     ep = two_level_eps(0.0, 1.0, 30.0)
     res = loop_ep(build_two_level(0.0, 1.0, 30.0), ep.coupling, 0.3, samples=3)
+    assert (res.permutation, res.signs) == WINDING_TABLE[1]
+
+
+def test_transport_walks_the_contour_in_batches(monkeypatch):
+    calls = []
+    for mod, name in ((trajectories, "_roots"), (trajectories, "eigen_spectrum"), (monodromy, "eigen_spectrum")):
+        orig = getattr(mod, name)
+
+        def spy(*args, _orig=orig, **kwargs):
+            calls.append(1)
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, spy)
+    res = two_level_loop(0.0, 1.0, 30.0, samples=512)
+    assert res.samples == 512
+    assert len(calls) < 40
+
+
+# min_overlap of each loop as one warm eigen_spectrum solve per sample gave it, before the
+# contour was walked in batches: (windings, min_overlap) on the two-level loop of WINDING_TABLE
+TWO_LEVEL_OVERLAPS = {1: 0.9999926467364301, 2: 0.9999926467364298, -1: 0.9999926467364301, -2: 0.99999264673643}
+# and (k, min_overlap) on the seven-level loops of test_loop_labels_states_by_level
+POWER_LAW_OVERLAPS = {0: 0.9999749133009157, 1: 0.9999749133009155, 2: 0.9999761048982265}
+
+
+@pytest.mark.parametrize("windings", sorted(TWO_LEVEL_OVERLAPS))
+def test_batched_transport_keeps_the_two_level_overlaps(windings):
+    res = two_level_loop(0.0, 1.0, 30.0, windings=windings)
+    assert (res.permutation, res.signs) == WINDING_TABLE[windings]
+    assert abs(res.min_overlap - TWO_LEVEL_OVERLAPS[windings]) <= 1e-12
+    assert res.matrix_error < 1e-12
+
+
+@pytest.mark.parametrize("k", sorted(POWER_LAW_OVERLAPS))
+def test_batched_transport_keeps_the_power_law_overlaps(k):
+    m = build_power_law(7, 1.0, 4.0)
+    reps = find_eps(m)
+    full = expand_ep_set(reps)
+    c = reps[k].coupling
+    others = np.append(full[np.abs(full - c) > 1e-12], reps[k].partner)
+    res = loop_ep(m, c, 0.3 * np.abs(others - c).min(), samples=256)
+    assert abs(res.min_overlap - POWER_LAW_OVERLAPS[k]) <= 1e-12
+    assert res.matrix_error < 1e-12
+
+
+def test_unmatched_step_refines_the_contour(monkeypatch):
+    # a walk that cannot match a step counts as a failed resolution, as a low overlap does
+    walk = monodromy._walk
+    sizes = []
+
+    def spy(model, t, contour, policy):
+        sizes.append(contour.size)
+        if len(sizes) == 1:
+            raise TrajectoryAmbiguityError("forced", interval=(float(t[0]), float(t[1])))
+        return walk(model, t, contour, policy)
+
+    monkeypatch.setattr(monodromy, "_walk", spy)
+    res = two_level_loop(0.0, 1.0, 30.0, samples=64)
+    assert sizes == [65, 129]
+    assert res.samples == 128
     assert (res.permutation, res.signs) == WINDING_TABLE[1]

@@ -102,6 +102,29 @@ def test_separate_pushes_coincident_seeds_apart():
     np.testing.assert_array_equal(secular._separate(apart.copy(), 0.7 + 0.3j), apart)
 
 
+def test_separate_treats_each_row_of_a_stack_alone():
+    rows = np.array([[0.5, 0.5, 3.0, 3.0], [10.0, 10.0, 10.0, 1.0j], [1.0, 2.0, 3.0, 4.0]], dtype=complex)
+    stack = secular._separate(rows.copy(), 0.7 + 0.7j)
+    for row, got in zip(rows, stack):
+        np.testing.assert_array_equal(got, secular._separate(row.copy(), 0.7 + 0.7j))
+    np.testing.assert_array_equal(stack[2], rows[2])
+
+
+@pytest.mark.parametrize("source", [0.3, 0.25])
+@pytest.mark.parametrize("vectors", [False, True])
+def test_coincident_warm_entries_find_every_root(source, vectors):
+    # two equal warm entries used to stop on one root together (their repulsion term is 1/0,
+    # whose step is zeroed) and leave another root unfound
+    m = build_perturbed_fence(41, 0.1, 2)
+    spec = eigen_spectrum(m, source)
+    warm = spec.energies[spec.warm_order]
+    warm[6] = warm[5]
+    got = eigen_spectrum(m, 0.3, warm_start=warm, compute_vectors=vectors)
+    ref = np.linalg.eigvals(m.hamiltonian(0.3))
+    assert_complex_sets_close(got.energies, ref, atol=1e-12 * float(np.abs(ref).max()))
+    assert got.residual < 5e-14
+
+
 def _nearest_gap(z):
     """All-pairs distance from each point to the nearest other one of its row (inf if alone)."""
     gap = np.abs(z[..., :, None] - z[..., None, :])
