@@ -2,6 +2,7 @@
 
 import sys
 import tracemalloc
+import warnings
 from functools import partial
 
 import numpy as np
@@ -398,7 +399,9 @@ def test_two_levels_warm_started_on_one_root_find_every_root(apart):
 def test_failed_newton_check_continues_the_aberth_solve(monkeypatch):
     # a handover too loose for a cold solve's roots to pass the check: each point falls back to
     # _roots at tol from the handed-over iterates, and B is still the cold solve's; so is the
-    # warm curve's, whose predicted starts pass the check past lambda = 0.45
+    # warm curve's, whose predicted starts pass the check past lambda = 0.45.  Cold weak seeds
+    # that own-pole rounds moved onto their roots would pass it, so the rounds are off here.
+    monkeypatch.setattr(secular, "_own_pole_rounds", lambda z, *args: z)
     m = build_perturbed_fence(41, 0.1, 3)
     grid = np.arange(0.05, 1.0001, 0.05)
     cold = [b_measure(m, c) for c in grid]
@@ -738,6 +741,106 @@ def test_strong_cold_solve_iteration_budget(name):
     m = FAMILIES[name](1001)
     for lam in (1.0, 3.0, 10.0):
         assert eigen_spectrum(m, lam).iterations <= 8, lam
+
+
+def _count_aberth_rows(monkeypatch) -> list:
+    """Patch the spectrum callback to count the rows _aberth evaluates: one list entry per block."""
+    rows = []
+    logderiv = secular._spectrum_logderiv
+
+    def counted(v2, lam):
+        inner = logderiv(v2, lam)
+
+        def call(r, m):
+            rows.append(r.shape[0])
+            return inner(r, m)
+
+        return call
+
+    monkeypatch.setattr(secular, "_spectrum_logderiv", counted)
+    return rows
+
+
+@pytest.mark.parametrize("name", ["fence", "perturbed_fence", "power_law_1_4"])
+def test_weak_cold_solve_row_budget(monkeypatch, name):
+    # own-pole rounds move the first-order seeds onto their roots: one Aberth pass confirms them
+    # (plus a few rows for the collective seed), where the first-order seeds took three passes
+    m = FAMILIES[name](1001)
+    rows = _count_aberth_rows(monkeypatch)
+    eigen_spectrum(m, 0.05)
+    assert sum(rows) <= 1.1 * m.n
+    rows.clear()
+    monkeypatch.setattr(secular, "_own_pole_rounds", lambda z, *args: z)
+    eigen_spectrum(m, 0.05)
+    assert sum(rows) >= 2.9 * m.n
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_own_pole_rounds_keep_every_level_on_its_root(monkeypatch, name):
+    # energies[warm_order][k] is the root that the first-order seed of level k leads to
+    m = FAMILIES[name](101)
+    act = m.couplings != 0
+    eps, v2 = m.epsilons[act], m.couplings[act] ** 2
+    unit = min(1.0, float(np.ptp(eps)))
+    weak = [lam for lam in (0.01, 0.05, 0.1, 0.2, 0.3) if not secular._regime(eps, v2, lam)[0]]
+    assert weak
+    moved = 0
+    for lam in weak:
+        seeds = secular._seeds(eps, v2, lam)
+        moved += np.count_nonzero(secular._own_pole_rounds(seeds.copy(), eps, v2, lam) != seeds)
+        spec = eigen_spectrum(m, lam)
+        with monkeypatch.context() as mp:
+            mp.setattr(secular, "_own_pole_rounds", lambda z, *args: z)
+            first = eigen_spectrum(m, lam)
+        e = first.energies[first.warm_order]
+        assert np.all(np.abs(spec.energies[spec.warm_order] - e) <= 5e-14 * (unit + np.abs(e))), lam
+    assert moved
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [
+        5e-324,  # the seeds sit on the poles
+        float(1 / np.pi),  # the last weak coupling of the fence
+        np.nextafter(1 / np.pi, 1.0),  # the first strong one
+        0.05 * np.exp(2.5j),  # complex couplings, as a loop contour passes them
+        0.3 + 0.02j,
+        -0.05 - 0.1j,
+    ],
+)
+def test_own_pole_rounds_at_degenerate_couplings(monkeypatch, lam):
+    m = build_picket_fence(41)
+    eps, v2 = m.epsilons, m.couplings**2
+    assert secular._regime(eps, v2, lam)[0] == (lam == np.nextafter(1 / np.pi, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        seeds = secular._own_pole_rounds(secular._seeds(eps, v2, lam), eps, v2, lam)
+        spec = eigen_spectrum(m, lam)
+        # every level takes the rounds: where they are not finite, its seed stays first-order
+        monkeypatch.setattr(secular, "_ROUND_RATIO", 0.0)
+        forced = secular._own_pole_rounds(secular._seeds(eps, v2, lam), eps, v2, lam)
+    assert np.isfinite(seeds).all() and np.isfinite(forced).all()
+    ref = np.linalg.eigvals(m.hamiltonian(lam))
+    assert_complex_sets_close(spec.energies, ref, atol=1e-12 * max(20.0, abs(lam) * m.coupling_strength))
+    if lam == 5e-324:
+        np.testing.assert_array_equal(forced, secular._seeds(eps, v2, lam))
+
+
+def test_non_finite_rounds_keep_the_first_order_seeds(monkeypatch):
+    m = build_perturbed_fence(41, 0.1, 3)
+    eps, v2 = m.epsilons, m.couplings**2
+    first = secular._seeds(eps, v2, 0.05)
+    sums = secular._cauchy_sums
+
+    def broken(x, *args):  # the first level's sums overflow
+        s = sums(x, *args)
+        s[:, 0] = np.inf
+        return s
+
+    monkeypatch.setattr(secular, "_cauchy_sums", broken)
+    got = secular._own_pole_rounds(first.copy(), eps, v2, 0.05)
+    assert got[0] == first[0] and np.isfinite(got).all()
+    assert np.count_nonzero(got != first) == first.size - 2  # the collective seed stays out too
 
 
 # find_eps(build_power_law(1001, 1, 4))[990].coupling
