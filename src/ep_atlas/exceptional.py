@@ -47,7 +47,17 @@ import numpy as np
 
 from .errors import IncompleteSearchError
 from .models import EffectiveModel, build_picket_fence
-from .secular import _aberth, _active, _cauchy_sums, _crowded, _power_sums, _separate, _step_floor, _tie_order
+from .secular import (
+    _aberth,
+    _active,
+    _cauchy_sums,
+    _crowded,
+    _power_sums,
+    _separate,
+    _step_floor,
+    _step_unit,
+    _tie_order,
+)
 
 _TOL = 5e-14  # Aberth stopping tolerance for the roots of R
 
@@ -133,7 +143,7 @@ def find_eps(model: EffectiveModel) -> list[ExceptionalPoint]:
     m = eps.size
     if m < 2:
         return []
-    z0 = _separate(_gap_seeds(eps, v2), 0.7 + 0.3j)
+    z0 = _separate(_gap_seeds(eps, v2), 0.7 + 0.3j, _step_unit(eps))
     floor = partial(_step_floor, eps, v2, 2)
     roots, _, ok, _ = _aberth(eps, _r_logderiv(v2), z0, floor=floor, maxiter=600, tol=_TOL, conjugates=True)
     reps = []

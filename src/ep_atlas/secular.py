@@ -54,13 +54,21 @@ chosen when more than half of the levels have |Lambda|*v_k^2 >
 spacing_k/pi, spacing_k being the distance to the nearest other level
 (_regime).  Either way a cold solve costs a few row evaluations per root.
 A weak root sits next to its own level, so _roots first moves the weak
-seeds onto their roots (_own_pole_rounds): two rounds of one blocked pass
-of S and S' each, after which every level solves its local model (its own
-term exact, the rest of S linearized) in closed form.  A round costs about
-half an Aberth row per level, and the first Aberth pass then confirms
-nearly every root: a cold solve at Lambda = 0.05 and N = 1001 of the
-fence, the perturbed fence or the r=1, t=4 power law evaluates 1.0 N
-Aberth rows instead of 3.0 N.
+seeds onto their roots and confirms them there (_own_pole_rounds): up to
+three rounds of one blocked pass of S and S' over the levels still open.
+Each round first checks its positions by the Newton step on
+S - i/Lambda, which those sums give, as the norm pass checks a vector
+solve's roots (below), and confirms the levels whose step is below tol;
+every other level then solves its local model (its own term exact, the
+rest of S linearized) in closed form.  That check has no repulsion, so a
+confirmed level with another iterate close by is left to iterate.
+_aberth then iterates only the levels left over, the confirmed ones
+frozen but still repelling the rest.  A round costs about half an Aberth
+row per level: a cold solve at Lambda = 0.05 and N = 1001 of the fence,
+the perturbed fence or the r=1, t=4 power law evaluates about 3 N round
+rows and a few Aberth rows (the collective seed's) where the first-order
+seeds took 3.0 N Aberth rows, and at Lambda = 0.01 the second round
+confirms nearly every level, for about 2 N round rows.
 
 Eigenvectors inherit the rank-one form, psi_j = v_j r_j with
 r = 1/(E - eps).  The bilinear self-overlap of that raw vector is
@@ -127,7 +135,7 @@ _NORM_FLOOR = 1e-7  # |psi^T psi|/<psi|psi> below this means the state pair is e
 _NEWTON = 3  # Newton steps on the local model from its tangent
 _AHEAD = 4  # order of the local model behind Spectrum.toward: the norm pass also sums v^2 r^3 .. v^2 r^(1 + _AHEAD)
 _ROUND_RATIO = 0.01  # the least regime ratio pi*|Lambda|*v_k^2/spacing_k at which a weak cold seed takes own-pole rounds
-_KEEP_ROUNDS = 0.25  # a level keeps its own-pole rounds where the second moved it by less than this share of the first
+_KEEP_ROUNDS = 0.25  # a level takes own-pole rounds while each moves it by less than this share of the one before
 _HANDOVER = 1e-8  # relative Aberth step at which a vector solve hands its roots to the norm pass's Newton check
 
 
@@ -308,15 +316,20 @@ def _crowded(z: np.ndarray, reach) -> np.ndarray:
     return mask.reshape(np.shape(z))
 
 
-def _separate(z: np.ndarray, jitter: complex) -> np.ndarray:
+def _separate(z: np.ndarray, jitter: complex, unit: float) -> np.ndarray:
     """Push apart iterates closer than 1e-12*scale, in place, so the repulsion term is finite.
 
     z is one row of iterates or a (B, N) stack of rows, each row with its own
-    scale max(1, max |z|).  Up to three rounds; the k-th offending iterate of
-    a row moves by k*1e-6*scale*jitter.
+    scale max(unit, max |z|), unit being _step_unit of the poles, so that
+    levels spanning less than 1 are jittered at their own scale.  Up to three
+    rounds; the k-th offending iterate of a row moves by k*1e-6*scale*jitter.
+    A row whose sorted real parts are all that far apart is clear without
+    the _crowded scan.
     """
     zm = z[None, :] if z.ndim == 1 else z
-    scale = np.maximum(1.0, np.abs(zm).max(axis=1, initial=0.0))[:, None]
+    scale = np.maximum(unit, np.abs(zm).max(axis=1, initial=0.0))[:, None]
+    if (np.diff(np.sort(zm.real, axis=1), axis=1) >= 1e-12 * scale).all():
+        return z
     for _ in range(3):
         bad = _crowded(zm, 1e-12 * scale)
         if not bad.any():
@@ -331,7 +344,7 @@ def _step_unit(eps: np.ndarray) -> float:
     return min(1.0, float(eps[-1].real - eps[0].real)) or 1.0
 
 
-def _aberth(eps, logderiv, z0, floor, maxiter=500, tol=5e-14, conjugates=False):
+def _aberth(eps, logderiv, z0, floor, maxiter=500, tol=5e-14, conjugates=False, frozen=None):
     """Simultaneous root iteration; returns (roots, iterations, converged, last_step).
 
     The roots are those of p(E) = prod_k (E - eps_k) * q(E) for a rational q,
@@ -362,7 +375,10 @@ def _aberth(eps, logderiv, z0, floor, maxiter=500, tol=5e-14, conjugates=False):
     of a step at the points z (such as _step_floor); floor is evaluated only
     for such iterates.
     Converged iterates are frozen, and last_step reports each member's
-    largest relative step at the final evaluation of its iterates.  A
+    largest relative step at the final evaluation of its iterates.  frozen,
+    a mask shaped like z0, freezes iterates from the start: they are never
+    evaluated but repel the rest, and a member whose iterates are all frozen
+    takes 0 iterations and reports a last_step of 0.  A
     deterministic index-asymmetric kick is applied to a member whose maximum
     step stops shrinking (the plain iteration can lock into a
     mirror-symmetric limit cycle when the true roots sit on the symmetry axis
@@ -386,7 +402,7 @@ def _aberth(eps, logderiv, z0, floor, maxiter=500, tol=5e-14, conjugates=False):
     width = max(2 * n if conjugates else n, eps.size)
     eps = eps.astype(complex)  # complex operands spare numpy a casting pass per block
     unit = _step_unit(eps)  # steps are relative to unit + |z|
-    active = np.ones(z.size, dtype=bool)
+    active = np.ones(z.size, dtype=bool) if frozen is None else ~np.ravel(frozen)
     its = np.zeros(nb, dtype=int)
     twist = np.exp(2j * np.pi * _GOLDEN * np.arange(n))
     step = np.zeros(z.size)
@@ -507,41 +523,71 @@ def _regime(eps: np.ndarray, v2: np.ndarray, lam: complex):
         return 2 * np.count_nonzero(reach > bound) > eps.size, reach / bound
 
 
-def _own_pole_rounds(z: np.ndarray, eps: np.ndarray, v2: np.ndarray, lam: complex) -> np.ndarray:
-    """Weak cold seeds z from _seeds moved onto their roots by two own-pole rounds, in place.
+def _own_pole_rounds(z: np.ndarray, eps: np.ndarray, v2: np.ndarray, lam: complex, tol: float):
+    """Weak cold seeds z from _seeds moved onto their roots and checked there, in place; returns (z, check).
 
-    A round is one _cauchy_sums pass at the seeds x.  Level k keeps its own
-    term v_k^2/(E - eps_k) exact and linearizes the rest of S about x_k; the
-    small root in E - eps_k of that quadratic (the one that goes to eps_k
-    with Lambda) is its next x_k.  A level keeps both rounds where they are
-    finite and the second moved it less than _KEEP_ROUNDS times the first,
-    as quadratic convergence does, and its seed otherwise.  Only the
-    first-order seeds eps_k - i*Lambda*v_k^2 with _regime's ratio above
-    _ROUND_RATIO take part, so the collective seed and the seeds already
-    within about one Aberth pass of their roots cost no row, and strong
-    seeds never move.  Moved seeds are pushed apart as _seeds' are.
+    A round is one _cauchy_sums pass at the current positions x of the
+    levels still open, at most three rounds.  Its S and S' first check x:
+    a level whose Newton step d = (S - i/Lambda)/S' has |d|/(unit + |x|)
+    below tol, the solve's final tol, is confirmed, keeps x (d is not
+    applied) and takes no further round.  Every other level moves: level k
+    keeps its own term v_k^2/(E - eps_k) exact and linearizes the rest of S
+    about x_k; the small root in E - eps_k of that quadratic (the one that
+    goes to eps_k with Lambda) is its next x_k.  A level stays open while
+    its moves are finite and each moves it less than _KEEP_ROUNDS times the
+    one before, as quadratic convergence does.  One whose second move fails
+    that goes back to its seed, and one whose third move fails keeps its
+    second; a level confirmed after two moves has passed it with its second.
+    Only the first-order seeds eps_k - i*Lambda*v_k^2 with _regime's ratio
+    above _ROUND_RATIO take part, so the collective seed and the seeds
+    already within about one Aberth pass of their roots cost no row, and
+    strong seeds never move.  Moved seeds are pushed apart as _seeds' are.
+
+    check[k] is the relative Newton step of a confirmed level, which
+    _aberth then leaves frozen, and inf for the levels left to iterate.
+    Two positions next to one root can both pass the check, since Newton's
+    step has no repulsion, so a confirmed level with another position
+    within sqrt(tol)*(unit + max |z|) is left to iterate too; for any tol
+    above 1e-24 that reach is at least _separate's, which then never moves
+    a confirmed level.
     """
     strong, ratio = _regime(eps, v2, lam)
+    check = np.full(z.size, np.inf)
     k = np.flatnonzero((ratio > _ROUND_RATIO) & (z == eps - 1j * lam * v2))
     if strong or not k.size:
-        return z
-    w, e, x = v2[k], eps[k], z[k]
-    moves = []
+        return z, check
+    unit = _step_unit(eps)
+    seed, x = z[k], z[k]
+    prev = np.full(k.size, np.inf)  # each open level's latest move
+    open_ = np.arange(k.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(2):
-            s = _cauchy_sums(x, eps, v2, 2)
-            d = x - e
+        for i in range(3):
+            xo, w, e = x[open_], v2[k[open_]], eps[k[open_]]
+            s = _cauchy_sums(xo, eps, v2, 2)
+            step = np.abs((s[0] - 1j / lam) / s[1]) / (unit + np.abs(xo))
+            done = step < tol  # false for a non-finite step too
+            check[k[open_[done]]] = step[done]
+            d = xo - e
             own = w / d
             slope = own / d - s[1]  # T_k': S' is -s[1], and the own term's slope is -w/d^2
             # slope*y^2 + b*y + w = 0 in y = E - eps_k; its small root is -2w over the larger b -+ sqrt
             b = s[0] - own - slope * d - 1j / lam
             sq = np.sqrt(b * b - 4.0 * slope * w)
             y = -2.0 * w / (b + np.where((b.conjugate() * sq).real >= 0, sq, -sq))
-            moves.append(e + y - x)
-            x = e + y
-        keep = np.isfinite(x) & (np.abs(moves[1]) < _KEEP_ROUNDS * np.abs(moves[0]))
-    z[k[keep]] = x[keep]
-    return _separate(z, 0.7 + 0.7j)
+            move = np.abs(e + y - xo)
+            go = ~done & np.isfinite(y) & (move < _KEEP_ROUNDS * prev[open_])
+            if i == 1:  # a level whose second move fails goes back to its seed
+                back = open_[~done & ~go]
+                x[back] = seed[back]
+            x[open_[go]] = (e + y)[go]
+            prev[open_[go]] = move[go]
+            open_ = open_[go]
+            if not open_.size:
+                break
+    z[k] = x
+    _separate(z, 0.7 + 0.7j, unit)
+    check[_crowded(z, np.sqrt(tol) * (unit + np.abs(z).max()))] = np.inf
+    return z, check
 
 
 def _seeds(eps: np.ndarray, v2: np.ndarray, lam: complex) -> np.ndarray:
@@ -570,13 +616,13 @@ def _seeds(eps: np.ndarray, v2: np.ndarray, lam: complex) -> np.ndarray:
     if _regime(eps, v2, lam)[0]:
         mid = (eps[1:] + eps[:-1]) / 2.0
         z = np.insert(mid + (1j / lam) / _slope(mid, eps, v2), int(np.argmin(np.abs(eps - deep))), deep)
-        return _separate(z, 0.7 + 0.7j)
+        return _separate(z, 0.7 + 0.7j, _step_unit(eps))
     z = (eps - 1j * lam * v2).astype(complex)
     span = (eps.max() - eps.min()) if n > 1 else 1.0
     if n > 1 and abs(lam) * tot > span / (2 * n):
         j = int(np.argmin(np.abs(z - deep)))
         z[j] = deep
-    return _separate(z, 0.7 + 0.7j)
+    return _separate(z, 0.7 + 0.7j, _step_unit(eps))
 
 
 def _sorted_order(e: np.ndarray) -> np.ndarray:
@@ -678,11 +724,15 @@ class Spectrum:
     Without them, at lambda = 0 or toward lambda = 0 it is
     energies[warm_order] itself.
 
-    iterations counts the Aberth iterations of the solve, not the passes of
-    the own-pole rounds that move weak cold seeds (see eigen_spectrum).
-    residual is the largest relative step that ended the solve: the last
-    Aberth step without vectors, and with them the Newton step of the norm
-    pass's check, |S - i/Lambda|/|S'| over unit + |E| (see eigen_spectrum).
+    iterations counts the Aberth iterations of the levels left over after
+    the own-pole rounds that move and confirm weak cold seeds, not the
+    rounds' passes, so it is 0 when the rounds confirm every level (see
+    eigen_spectrum).  residual is the largest relative step that ended the
+    solve: without vectors, the last Aberth step or the Newton step that
+    confirmed a level in the rounds, |S - i/Lambda|/|S'| over unit + |E|;
+    with them, the Newton step of the norm pass's check (see
+    eigen_spectrum).  A solve that ran no Aberth iteration reports its
+    rounds' largest Newton step, not 0.
     """
 
     energies: np.ndarray
@@ -732,14 +782,19 @@ def _off_poles(z: np.ndarray, eps: np.ndarray, v2: np.ndarray, lam) -> np.ndarra
     return np.where(hit, eps - 1j * lam * v2, z) if hit.any() else z
 
 
-def _roots(model: EffectiveModel, couplings, seeds=None, maxiter: int = 500, tol: float = 5e-14):
+def _roots(model: EffectiveModel, couplings, seeds=None, maxiter: int = 500, tol: float = 5e-14, final_tol=None):
     """Roots at B couplings from one _aberth call; returns (roots, iterations, ok, last_step) per member.
 
     roots is (B, N) in level order: roots[b, k] is level k at couplings[b],
     continuing seeds[b, k] when B warm starts are given (each read as
-    eigen_spectrum reads warm_start), else from _seeds, whose weak seeds
-    _own_pole_rounds moves first; iterations counts Aberth iterations only.
-    Only coupled levels
+    eigen_spectrum reads warm_start), else from _seeds.  _own_pole_rounds
+    first moves the weak cold seeds and confirms those on their roots by a
+    Newton step below final_tol, the tolerance the solve must meet in the
+    end (tol when None; a vector solve's _aberth stops at its handover
+    instead).  _aberth iterates only the levels left over, to tol, the
+    confirmed ones frozen: iterations counts its iterations alone, 0 when the
+    rounds confirm every level, and last_step is the largest of its last
+    steps and the confirming Newton steps.  Only coupled levels
     at a nonzero coupling are iterated: a split-off level, and every level at
     lambda = 0, keeps its bare energy exactly, and a single coupled level
     takes its exact root (0 iterations, ok).  Raises InvalidCouplingError for
@@ -757,14 +812,21 @@ def _roots(model: EffectiveModel, couplings, seeds=None, maxiter: int = 500, tol
     if eps.size == 1:
         roots[at] = eps - 1j * lam[live, None] * v2
     elif eps.size and live.size:
+        frozen = None
         if seeds is None:
-            z0 = np.array([_own_pole_rounds(_seeds(eps, v2, lams[b]), eps, v2, lams[b]) for b in live])
+            final = tol if final_tol is None else final_tol
+            rounds = [_own_pole_rounds(_seeds(eps, v2, lams[b]), eps, v2, lams[b], final) for b in live]
+            z0, check = map(np.array, zip(*rounds))
+            frozen = check < np.inf
         else:
-            z0 = _separate(_off_poles(np.asarray(seeds, dtype=complex)[at], eps, v2, lam[live, None]), 0.7 + 0.7j)
+            z0 = _off_poles(np.asarray(seeds, dtype=complex)[at], eps, v2, lam[live, None])
+            z0 = _separate(z0, 0.7 + 0.7j, _step_unit(eps))
         floor = partial(_step_floor, eps, v2, 1)
         roots[at], its[live], ok[live], last[live] = _aberth(
-            eps, _spectrum_logderiv(v2, lam[live]), z0, floor=floor, maxiter=maxiter, tol=tol
+            eps, _spectrum_logderiv(v2, lam[live]), z0, floor=floor, maxiter=maxiter, tol=tol, frozen=frozen
         )
+        if frozen is not None:
+            last[live] = np.maximum(last[live], np.where(frozen, check, 0.0).max(axis=1))
     return roots, its, ok, last
 
 
@@ -789,13 +851,17 @@ def eigen_spectrum(
     since the iteration cannot step off a pole.
 
     The roots come from one _aberth attempt (_roots), from warm_start or, on
-    a cold solve, from _seeds; below the transition two own-pole rounds
-    first move those seeds onto their roots (see the module docstring).
-    iterations counts the Aberth iterations alone, so it understates what
-    the rounds save: on the perturbed fence at N = 3001 and lambda = 0.05
-    it falls from 4 to 3, while the Aberth rows fall from 3.0 N to about
-    1.0 N.  residual is the
-    attempt's largest last relative step.
+    a cold solve, from _seeds; below the transition up to three own-pole
+    rounds first move those seeds onto their roots and confirm them by a
+    Newton step below tol, and the attempt iterates only the levels left
+    over (see the module docstring).  iterations counts those Aberth
+    iterations alone, 0 when the rounds confirm every level, so it says
+    little of the cost: on the perturbed fence at N = 3001 and
+    lambda = 0.05 it is 3 for the collective seed's 3 rows, while the
+    rounds take 3.0 N rows at about half the cost of an Aberth row each,
+    where the first-order seeds took 3.0 N Aberth rows in 4 iterations.
+    residual is the attempt's largest last relative step, or the largest
+    Newton step that confirmed a level in the rounds when that is larger.
     Near an exceptional point, where a defective pair is defined only to
     about sqrt(machine eps), the rounding-bound stop leaves it up to 1e-7.
     At an exact exceptional point the coincident iterates stop on a
@@ -806,9 +872,11 @@ def eigen_spectrum(
     equal ones included, are pushed apart first (_separate), as cold seeds
     are.
 
-    With compute_vectors the attempt stops at max(tol, _HANDOVER) instead,
-    and the norm pass checks the roots by one Newton step each, which it
-    does not apply; residual is then the largest relative Newton step.
+    With compute_vectors the attempt stops at max(tol, _HANDOVER) instead
+    (the rounds still confirm at tol, so the roots they confirm pass the
+    check below as they stand), and the norm pass checks the roots by one
+    Newton step each, which it does not apply; residual is then the largest
+    relative Newton step.
     Only when that is not below tol does _roots continue from the roots to
     tol, with maxiter iterations more, before the norm pass runs again.
     The energies may therefore differ from a vector-less solve's in their
@@ -838,7 +906,7 @@ def eigen_spectrum(
     act &= lam != 0  # at lambda = 0 every level is bare
     its = 0
     for stop in (max(tol, _HANDOVER), tol) if compute_vectors else (tol,):
-        roots, k, ok, last = _roots(model, [lam], warm_start, maxiter, stop)
+        roots, k, ok, last = _roots(model, [lam], warm_start, maxiter, stop, tol)
         its += int(k[0])
         e_full, last, warm_start = roots[0], float(last[0]), roots
         if not ok[0]:

@@ -294,7 +294,7 @@ def _full_search(m):
     """Representatives from an Aberth search for all 2(N-1) roots of R, the upper ones polished."""
     _, eps, v2 = secular._active(m)
     up = exceptional._gap_seeds(eps, v2)
-    z0 = secular._separate(np.concatenate([up.conj(), up]), 0.7 + 0.3j)
+    z0 = secular._separate(np.concatenate([up.conj(), up]), 0.7 + 0.3j, secular._step_unit(eps))
     floor = partial(secular._step_floor, eps, v2, 2)
     roots, _, ok, _ = secular._aberth(eps, exceptional._r_logderiv(v2), z0, floor=floor, maxiter=600, tol=5e-14)
     assert ok

@@ -93,21 +93,21 @@ def test_warm_start_of_the_wrong_length_is_rejected():
 
 def test_separate_pushes_coincident_seeds_apart():
     seeds = np.array([0.5, 0.5, 0.5, 2.0 + 1.0j, 2.0 + 1.0j])
-    a = secular._separate(seeds.copy(), 0.7 + 0.3j)
-    b = secular._separate(seeds.copy(), 0.7 + 0.3j)
+    a = secular._separate(seeds.copy(), 0.7 + 0.3j, 1.0)
+    b = secular._separate(seeds.copy(), 0.7 + 0.3j, 1.0)
     np.testing.assert_array_equal(a, b)  # deterministic
     scale = np.abs(seeds).max()
     gaps = np.abs(a[:, None] - a[None, :]) + np.diag(np.full(a.size, np.inf))
     assert gaps.min() >= 1e-12 * scale
     apart = np.array([0.0, 1.0, 1.0 + 1e-9j, -2.0])
-    np.testing.assert_array_equal(secular._separate(apart.copy(), 0.7 + 0.3j), apart)
+    np.testing.assert_array_equal(secular._separate(apart.copy(), 0.7 + 0.3j, 1.0), apart)
 
 
 def test_separate_treats_each_row_of_a_stack_alone():
     rows = np.array([[0.5, 0.5, 3.0, 3.0], [10.0, 10.0, 10.0, 1.0j], [1.0, 2.0, 3.0, 4.0]], dtype=complex)
-    stack = secular._separate(rows.copy(), 0.7 + 0.7j)
+    stack = secular._separate(rows.copy(), 0.7 + 0.7j, 1.0)
     for row, got in zip(rows, stack):
-        np.testing.assert_array_equal(got, secular._separate(row.copy(), 0.7 + 0.7j))
+        np.testing.assert_array_equal(got, secular._separate(row.copy(), 0.7 + 0.7j, 1.0))
     np.testing.assert_array_equal(stack[2], rows[2])
 
 
@@ -124,6 +124,11 @@ def test_coincident_warm_entries_find_every_root(source, vectors):
     ref = np.linalg.eigvals(m.hamiltonian(0.3))
     assert_complex_sets_close(got.energies, ref, atol=1e-12 * float(np.abs(ref).max()))
     assert got.residual < 5e-14
+
+
+def _no_rounds(z, *args):
+    """_own_pole_rounds switched off: the seeds stay as _seeds made them and no level is confirmed."""
+    return z, np.full(z.size, np.inf)
 
 
 def _nearest_gap(z):
@@ -401,7 +406,7 @@ def test_failed_newton_check_continues_the_aberth_solve(monkeypatch):
     # _roots at tol from the handed-over iterates, and B is still the cold solve's; so is the
     # warm curve's, whose predicted starts pass the check past lambda = 0.45.  Cold weak seeds
     # that own-pole rounds moved onto their roots would pass it, so the rounds are off here.
-    monkeypatch.setattr(secular, "_own_pole_rounds", lambda z, *args: z)
+    monkeypatch.setattr(secular, "_own_pole_rounds", _no_rounds)
     m = build_perturbed_fence(41, 0.1, 3)
     grid = np.arange(0.05, 1.0001, 0.05)
     cold = [b_measure(m, c) for c in grid]
@@ -763,16 +768,95 @@ def _count_aberth_rows(monkeypatch) -> list:
 
 @pytest.mark.parametrize("name", ["fence", "perturbed_fence", "power_law_1_4"])
 def test_weak_cold_solve_row_budget(monkeypatch, name):
-    # own-pole rounds move the first-order seeds onto their roots: one Aberth pass confirms them
-    # (plus a few rows for the collective seed), where the first-order seeds took three passes
+    # own-pole rounds move the first-order seeds onto their roots and confirm them there, so
+    # _aberth iterates only the collective seed's few rows, where the first-order seeds took
+    # three passes of N rows; the rounds' passes (and the rounding floor's) take at most 3 N
     m = FAMILIES[name](1001)
     rows = _count_aberth_rows(monkeypatch)
-    eigen_spectrum(m, 0.05)
-    assert sum(rows) <= 1.1 * m.n
+    passes = []
+    sums = secular._cauchy_sums
+
+    def counted(x, *args, **kw):
+        passes.append(x.size)
+        return sums(x, *args, **kw)
+
+    monkeypatch.setattr(secular, "_cauchy_sums", counted)
+    for lam in (0.01, 0.05):
+        rows.clear()
+        passes.clear()
+        eigen_spectrum(m, lam)
+        assert sum(rows) <= 0.01 * m.n and sum(passes) <= 3 * m.n, lam
     rows.clear()
-    monkeypatch.setattr(secular, "_own_pole_rounds", lambda z, *args: z)
+    monkeypatch.setattr(secular, "_own_pole_rounds", _no_rounds)
     eigen_spectrum(m, 0.05)
     assert sum(rows) >= 2.9 * m.n
+
+
+def test_rounds_leave_two_levels_on_one_root_to_iterate(monkeypatch):
+    # a Newton check has no repulsion, so it passes two levels on one root alike; the crowding
+    # guard leaves both to _aberth, which parts them, where freezing them would lose a root
+    m = build_perturbed_fence(41, 0.1, 2)
+    eps, v2 = m.epsilons, m.couplings**2
+    _, check = secular._own_pole_rounds(secular._seeds(eps, v2, 0.05), eps, v2, 0.05, 5e-14)
+    assert np.isfinite(check[5]) and np.isfinite(check[6])
+    separate, rounds = secular._separate, secular._own_pole_rounds
+    inside = []
+
+    def onto_one_root(z, *args):  # the rounds' closing call puts level 6 on level 5's root
+        z = separate(z, *args)
+        if inside:
+            z[6] = z[5] * (1 + 1e-12)
+        return z
+
+    def marked(*args):
+        inside.append(True)
+        try:
+            return rounds(*args)
+        finally:
+            inside.clear()
+
+    monkeypatch.setattr(secular, "_separate", onto_one_root)
+    monkeypatch.setattr(secular, "_own_pole_rounds", marked)
+    _, check = marked(secular._seeds(eps, v2, 0.05), eps, v2, 0.05, 5e-14)
+    assert np.isinf(check[5]) and np.isinf(check[6])
+    assert np.count_nonzero(np.isfinite(check)) >= eps.size - 3  # the collective seed is not confirmed either
+    spec = eigen_spectrum(m, 0.05)
+    assert spec.iterations > 0 and spec.residual < 5e-14
+    assert_complex_sets_close(spec.energies, np.linalg.eigvals(m.hamiltonian(0.05)), atol=1e-12)
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.05])
+def test_confirmed_roots_pass_the_norm_pass_check(monkeypatch, lam):
+    # the rounds confirm at the solve's final tol, not at the handover: a cold vector solve's roots
+    # pass the norm pass's Newton check with no second _roots call, and stand as they are
+    m = build_perturbed_fence(1001, 0.1, 4)
+    plain = eigen_spectrum(m, lam)
+    calls = []
+    roots = secular._roots
+
+    def spy(*args):
+        calls.append(args[4])
+        return roots(*args)
+
+    monkeypatch.setattr(secular, "_roots", spy)
+    spec = eigen_spectrum(m, lam, compute_vectors=True)
+    assert calls == [secular._HANDOVER]
+    assert spec.residual < 5e-14
+    unit = min(1.0, float(np.ptp(m.epsilons)))
+    e = plain.energies[plain.warm_order]
+    assert np.all(np.abs(spec.energies[spec.warm_order] - e) <= 5e-14 * (unit + np.abs(e)))
+
+
+def test_rounds_that_confirm_every_root_report_their_check():
+    # the fence at N = 43 and lambda = 0.01 has no collective seed and every level is confirmed in
+    # the rounds: _aberth iterates nothing, and residual is the largest confirming Newton step,
+    # the one a vector solve's norm pass computes at the same roots
+    m = build_picket_fence(43)
+    plain = eigen_spectrum(m, 0.01)
+    vec = eigen_spectrum(m, 0.01, compute_vectors=True)
+    assert plain.iterations == vec.iterations == 0
+    assert 0.0 < plain.residual == vec.residual < 5e-14
+    np.testing.assert_array_equal(plain.energies, vec.energies)
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -787,10 +871,10 @@ def test_own_pole_rounds_keep_every_level_on_its_root(monkeypatch, name):
     moved = 0
     for lam in weak:
         seeds = secular._seeds(eps, v2, lam)
-        moved += np.count_nonzero(secular._own_pole_rounds(seeds.copy(), eps, v2, lam) != seeds)
+        moved += np.count_nonzero(secular._own_pole_rounds(seeds.copy(), eps, v2, lam, 5e-14)[0] != seeds)
         spec = eigen_spectrum(m, lam)
         with monkeypatch.context() as mp:
-            mp.setattr(secular, "_own_pole_rounds", lambda z, *args: z)
+            mp.setattr(secular, "_own_pole_rounds", _no_rounds)
             first = eigen_spectrum(m, lam)
         e = first.energies[first.warm_order]
         assert np.all(np.abs(spec.energies[spec.warm_order] - e) <= 5e-14 * (unit + np.abs(e))), lam
@@ -814,11 +898,11 @@ def test_own_pole_rounds_at_degenerate_couplings(monkeypatch, lam):
     assert secular._regime(eps, v2, lam)[0] == (lam == np.nextafter(1 / np.pi, 1.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        seeds = secular._own_pole_rounds(secular._seeds(eps, v2, lam), eps, v2, lam)
+        seeds = secular._own_pole_rounds(secular._seeds(eps, v2, lam), eps, v2, lam, 5e-14)[0]
         spec = eigen_spectrum(m, lam)
         # every level takes the rounds: where they are not finite, its seed stays first-order
         monkeypatch.setattr(secular, "_ROUND_RATIO", 0.0)
-        forced = secular._own_pole_rounds(secular._seeds(eps, v2, lam), eps, v2, lam)
+        forced = secular._own_pole_rounds(secular._seeds(eps, v2, lam), eps, v2, lam, 5e-14)[0]
     assert np.isfinite(seeds).all() and np.isfinite(forced).all()
     ref = np.linalg.eigvals(m.hamiltonian(lam))
     assert_complex_sets_close(spec.energies, ref, atol=1e-12 * max(20.0, abs(lam) * m.coupling_strength))
@@ -832,13 +916,13 @@ def test_non_finite_rounds_keep_the_first_order_seeds(monkeypatch):
     first = secular._seeds(eps, v2, 0.05)
     sums = secular._cauchy_sums
 
-    def broken(x, *args):  # the first level's sums overflow
+    def broken(x, *args):  # the first level's sums overflow, in whichever column a round holds it
         s = sums(x, *args)
-        s[:, 0] = np.inf
+        s[:, x.real < eps[0] + 0.5] = np.inf
         return s
 
     monkeypatch.setattr(secular, "_cauchy_sums", broken)
-    got = secular._own_pole_rounds(first.copy(), eps, v2, 0.05)
+    got = secular._own_pole_rounds(first.copy(), eps, v2, 0.05, 5e-14)[0]
     assert got[0] == first[0] and np.isfinite(got).all()
     assert np.count_nonzero(got != first) == first.size - 2  # the collective seed stays out too
 
@@ -881,15 +965,37 @@ def test_solves_at_exceptional_points_stop_at_the_rounding_floor(name):
             assert_complex_sets_close(spec.energies, ref, atol=2e-8 * scale)
 
 
+def _scaled_fence(scale):
+    f = build_picket_fence(7)
+    return secular.EffectiveModel(f.epsilons * scale, f.couplings * np.sqrt(scale), f.recipe)
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-12])
 @pytest.mark.parametrize("lam", [0.05, 0.3, 2.0])
-def test_roots_keep_their_precision_at_any_energy_scale(scale, lam):
+def test_roots_keep_their_precision_at_any_energy_scale(monkeypatch, scale, lam):
     # scaling eps and v^2 by s scales every root by s; a step measured against 1 + |E| stopped
-    # the 1e-12 fence at 7.2e-5 of its spacing
-    f = build_picket_fence(7)
-    m = secular.EffectiveModel(f.epsilons * scale, f.couplings * np.sqrt(scale), f.recipe)
+    # the 1e-12 fence at 7.2e-5 of its spacing, and _separate's scale floored at 1 jittered its
+    # seeds by 1e-6, 10^6 spacings, which took 62 iterations at lambda = 0.05 instead of 1
+    m = _scaled_fence(scale)
     ref = np.linalg.eigvals(m.hamiltonian(lam))
-    assert_complex_sets_close(eigen_spectrum(m, lam).energies, ref, atol=1e-12 * scale)
+    aberth = secular._aberth
+    seeds = []
+
+    def spy(eps, logderiv, z0, **kw):
+        seeds.append(np.array(z0))
+        return aberth(eps, logderiv, z0, **kw)
+
+    monkeypatch.setattr(secular, "_aberth", spy)
+    spec = eigen_spectrum(m, lam)
+    assert_complex_sets_close(spec.energies, ref, atol=1e-12 * scale)
+    bare = eigen_spectrum(_scaled_fence(1.0), lam)
+    assert spec.iterations == bare.iterations
+    np.testing.assert_allclose(seeds[0] / scale, seeds[1], rtol=1e-12)
+
+
+def test_sweep_of_a_small_scale_model_has_no_ambiguous_interval():
+    # the jittered seeds of the 1e-12 fence raised TrajectoryAmbiguityError in (0.01, 0.011)
+    assert sweep(_scaled_fence(1e-12), np.linspace(0.01, 0.2, 200)).ambiguous_intervals == ()
 
 
 def test_toward_its_own_coupling_returns_the_roots():
