@@ -61,7 +61,8 @@ S - i/Lambda, which those sums give, as the norm pass checks a vector
 solve's roots (below), and confirms the levels whose step is below tol;
 every other level then solves its local model (its own term exact, the
 rest of S linearized) in closed form.  That check has no repulsion, so a
-confirmed level with another iterate close by is left to iterate.
+confirmed level with another iterate close by is left to iterate, as is
+one that the closing push-apart of coincident iterates moves.
 _aberth then iterates only the levels left over, the confirmed ones
 frozen but still repelling the rest.  A round costs about half an Aberth
 row per level: a cold solve at Lambda = 0.05 and N = 1001 of the fence,
@@ -294,12 +295,17 @@ def _crowded(z: np.ndarray, reach) -> np.ndarray:
     """Mask of the points that have another point of their row closer than their reach.
 
     z is one row of points or a (B, N) stack of rows, and reach one scalar or
-    one reach per point.  Each row is scanned in order of real part: points
-    k places apart are compared for k = 1, 2, ... while some pair k apart is
-    closer in real part alone than the larger of its two reaches, since no
-    pair further apart can then be closer.  Memory stays O(B*N).
+    one reach per point.  When the sorted real parts of every row are all
+    at least the largest reach apart, no point is crowded and the scan is
+    skipped.  Each row is otherwise scanned in order of real part: points
+    k places apart are compared for k = 1, 2, ... while some pair k apart
+    is closer in real part alone than the larger of its two reaches, since
+    no pair further apart can then be closer.  Memory stays O(B*N).
     """
     zm = np.atleast_2d(z)
+    xs = np.sort(zm.real, axis=1)
+    if (xs[:, 1:] - xs[:, :-1] >= np.max(reach, initial=0.0)).all():
+        return np.zeros(np.shape(z), dtype=bool)
     rows = np.arange(zm.shape[0])[:, None]
     o = np.argsort(zm.real, axis=1, kind="stable")
     zs = zm[rows, o]
@@ -323,13 +329,9 @@ def _separate(z: np.ndarray, jitter: complex, unit: float) -> np.ndarray:
     scale max(unit, max |z|), unit being _step_unit of the poles, so that
     levels spanning less than 1 are jittered at their own scale.  Up to three
     rounds; the k-th offending iterate of a row moves by k*1e-6*scale*jitter.
-    A row whose sorted real parts are all that far apart is clear without
-    the _crowded scan.
     """
     zm = z[None, :] if z.ndim == 1 else z
     scale = np.maximum(unit, np.abs(zm).max(axis=1, initial=0.0))[:, None]
-    if (np.diff(np.sort(zm.real, axis=1), axis=1) >= 1e-12 * scale).all():
-        return z
     for _ in range(3):
         bad = _crowded(zm, 1e-12 * scale)
         if not bad.any():
@@ -546,10 +548,10 @@ def _own_pole_rounds(z: np.ndarray, eps: np.ndarray, v2: np.ndarray, lam: comple
     check[k] is the relative Newton step of a confirmed level, which
     _aberth then leaves frozen, and inf for the levels left to iterate.
     Two positions next to one root can both pass the check, since Newton's
-    step has no repulsion, so a confirmed level with another position
-    within sqrt(tol)*(unit + max |z|) is left to iterate too; for any tol
-    above 1e-24 that reach is at least _separate's, which then never moves
-    a confirmed level.
+    step has no repulsion, so a confirmed level that has another position
+    within sqrt(tol)*(unit + max |z|) before _separate is left to iterate
+    too, as is any level that _separate moves: a moved level's check no
+    longer holds where it stands.
     """
     strong, ratio = _regime(eps, v2, lam)
     check = np.full(z.size, np.inf)
@@ -562,32 +564,43 @@ def _own_pole_rounds(z: np.ndarray, eps: np.ndarray, v2: np.ndarray, lam: comple
     open_ = np.arange(k.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(3):
-            xo, w, e = x[open_], v2[k[open_]], eps[k[open_]]
-            s = _cauchy_sums(xo, eps, v2, 2)
-            step = np.abs((s[0] - 1j / lam) / s[1]) / (unit + np.abs(xo))
+            step, xn = _own_pole_round(x[open_], k[open_], eps, v2, lam, unit)
             done = step < tol  # false for a non-finite step too
             check[k[open_[done]]] = step[done]
-            d = xo - e
-            own = w / d
-            slope = own / d - s[1]  # T_k': S' is -s[1], and the own term's slope is -w/d^2
-            # slope*y^2 + b*y + w = 0 in y = E - eps_k; its small root is -2w over the larger b -+ sqrt
-            b = s[0] - own - slope * d - 1j / lam
-            sq = np.sqrt(b * b - 4.0 * slope * w)
-            y = -2.0 * w / (b + np.where((b.conjugate() * sq).real >= 0, sq, -sq))
-            move = np.abs(e + y - xo)
-            go = ~done & np.isfinite(y) & (move < _KEEP_ROUNDS * prev[open_])
+            move = np.abs(xn - x[open_])
+            go = ~done & np.isfinite(xn) & (move < _KEEP_ROUNDS * prev[open_])
             if i == 1:  # a level whose second move fails goes back to its seed
                 back = open_[~done & ~go]
                 x[back] = seed[back]
-            x[open_[go]] = (e + y)[go]
+            x[open_[go]] = xn[go]
             prev[open_[go]] = move[go]
             open_ = open_[go]
             if not open_.size:
                 break
     z[k] = x
-    _separate(z, 0.7 + 0.7j, unit)
     check[_crowded(z, np.sqrt(tol) * (unit + np.abs(z).max()))] = np.inf
+    before = z.copy()
+    _separate(z, 0.7 + 0.7j, unit)
+    check[z != before] = np.inf
     return z, check
+
+
+def _own_pole_round(x: np.ndarray, k: np.ndarray, eps: np.ndarray, v2: np.ndarray, lam: complex, unit: float):
+    """(step, next x) of the levels k at their positions x: one _cauchy_sums pass, see _own_pole_rounds.
+
+    The sums and the complex temporaries are freed on return, before the
+    next round's pass allocates its blocks.
+    """
+    s = _cauchy_sums(x, eps, v2, 2)
+    step = np.abs((s[0] - 1j / lam) / s[1]) / (unit + np.abs(x))
+    w, e = v2[k], eps[k]
+    d = x - e
+    own = w / d
+    slope = own / d - s[1]  # T_k': S' is -s[1], and the own term's slope is -w/d^2
+    # slope*y^2 + b*y + w = 0 in y = E - eps_k; its small root is -2w over the larger b -+ sqrt
+    b = s[0] - own - slope * d - 1j / lam
+    sq = np.sqrt(b * b - 4.0 * slope * w)
+    return step, e - 2.0 * w / (b + np.where((b.conjugate() * sq).real >= 0, sq, -sq))
 
 
 def _seeds(eps: np.ndarray, v2: np.ndarray, lam: complex) -> np.ndarray:

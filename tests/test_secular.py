@@ -792,20 +792,33 @@ def test_weak_cold_solve_row_budget(monkeypatch, name):
     assert sum(rows) >= 2.9 * m.n
 
 
-def test_rounds_leave_two_levels_on_one_root_to_iterate(monkeypatch):
+@pytest.mark.parametrize("where", ["on_one_root", "next_to_one_root", "moved_by_separate"])
+def test_rounds_leave_two_levels_on_one_root_to_iterate(monkeypatch, where):
     # a Newton check has no repulsion, so it passes two levels on one root alike; the crowding
-    # guard leaves both to _aberth, which parts them, where freezing them would lose a root
+    # guard, taken before _separate parts them by far more than its reach, leaves both to _aberth,
+    # which puts each on its own root, where freezing them would lose a root.  A level that
+    # _separate moves off its root is left to iterate as well
     m = build_perturbed_fence(41, 0.1, 2)
     eps, v2 = m.epsilons, m.couplings**2
     _, check = secular._own_pole_rounds(secular._seeds(eps, v2, 0.05), eps, v2, 0.05, 5e-14)
     assert np.isfinite(check[5]) and np.isfinite(check[6])
-    separate, rounds = secular._separate, secular._own_pole_rounds
-    inside = []
+    crowded, separate, rounds = secular._crowded, secular._separate, secular._own_pole_rounds
+    inside, placed = [], []
 
-    def onto_one_root(z, *args):  # the rounds' closing call puts level 6 on level 5's root
+    def place(z):  # before the rounds' first closing step, level 6 goes next to level 5's root
+        if inside and not placed and where != "moved_by_separate":
+            placed.append(True)
+            z[6] = z[5] * (1 + 1e-13) if where == "on_one_root" else z[5] + 1e-9
+
+    def guard(z, reach):
+        place(z)
+        return crowded(z, reach)
+
+    def closing(z, *args):
+        place(z)
         z = separate(z, *args)
-        if inside:
-            z[6] = z[5] * (1 + 1e-12)
+        if inside and where == "moved_by_separate":
+            z[6] += 1e-4
         return z
 
     def marked(*args):
@@ -814,11 +827,13 @@ def test_rounds_leave_two_levels_on_one_root_to_iterate(monkeypatch):
             return rounds(*args)
         finally:
             inside.clear()
+            placed.clear()
 
-    monkeypatch.setattr(secular, "_separate", onto_one_root)
+    monkeypatch.setattr(secular, "_crowded", guard)
+    monkeypatch.setattr(secular, "_separate", closing)
     monkeypatch.setattr(secular, "_own_pole_rounds", marked)
     _, check = marked(secular._seeds(eps, v2, 0.05), eps, v2, 0.05, 5e-14)
-    assert np.isinf(check[5]) and np.isinf(check[6])
+    assert np.isinf(check[6]) and np.isinf(check[5]) == (where != "moved_by_separate")
     assert np.count_nonzero(np.isfinite(check)) >= eps.size - 3  # the collective seed is not confirmed either
     spec = eigen_spectrum(m, 0.05)
     assert spec.iterations > 0 and spec.residual < 5e-14
