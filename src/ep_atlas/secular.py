@@ -53,23 +53,14 @@ the N-1 gap midpoints m, plus the collective root.  The strong seeds are
 chosen when more than half of the levels have |Lambda|*v_k^2 >
 spacing_k/pi, spacing_k being the distance to the nearest other level
 (_regime).  Either way a cold solve costs a few row evaluations per root.
-A weak root sits next to its own level, so _roots first moves the weak
-seeds onto their roots and confirms them there (_own_pole_rounds): up to
-three rounds of one blocked pass of S and S' over the levels still open.
-Each round first checks its positions by the Newton step on
-S - i/Lambda, which those sums give, as the norm pass checks a vector
-solve's roots (below), and confirms the levels whose step is below tol;
-every other level then solves its local model (its own term exact, the
-rest of S linearized) in closed form.  That check has no repulsion, so a
-confirmed level with another iterate close by is left to iterate, as is
-one that the closing push-apart of coincident iterates moves.
-_aberth then iterates only the levels left over, the confirmed ones
-frozen but still repelling the rest.  A round costs about half an Aberth
-row per level: a cold solve at Lambda = 0.05 and N = 1001 of the fence,
-the perturbed fence or the r=1, t=4 power law evaluates about 3 N round
-rows and a few Aberth rows (the collective seed's) where the first-order
-seeds took 3.0 N Aberth rows, and at Lambda = 0.01 the second round
-confirms nearly every level, for about 2 N round rows.
+A weak root sits next to its own level, so _seeds also moves the weak
+seeds onto their roots in up to three own-pole rounds and confirms them
+there by the Newton step on S - i/Lambda, as the norm pass checks a
+vector solve's roots (below).  _aberth then iterates only the levels left
+over, the confirmed ones frozen but still repelling the rest.  That check
+has no repulsion, so _seeds leaves to the iteration a confirmed level with
+another iterate close by, and one that the push-apart of coincident seeds
+moves.
 
 Eigenvectors inherit the rank-one form, psi_j = v_j r_j with
 r = 1/(E - eps).  The bilinear self-overlap of that raw vector is
@@ -525,88 +516,10 @@ def _regime(eps: np.ndarray, v2: np.ndarray, lam: complex):
         return 2 * np.count_nonzero(reach > bound) > eps.size, reach / bound
 
 
-def _own_pole_rounds(z: np.ndarray, eps: np.ndarray, v2: np.ndarray, lam: complex, tol: float):
-    """Weak cold seeds z from _seeds moved onto their roots and checked there, in place; returns (z, check).
+def _seeds(eps: np.ndarray, v2: np.ndarray, lam: complex, tol: float):
+    """Cold seeds for the coupled levels eps (at least two, strictly increasing, v2 > 0); returns (z, check).
 
-    A round is one _cauchy_sums pass at the current positions x of the
-    levels still open, at most three rounds.  Its S and S' first check x:
-    a level whose Newton step d = (S - i/Lambda)/S' has |d|/(unit + |x|)
-    below tol, the solve's final tol, is confirmed, keeps x (d is not
-    applied) and takes no further round.  Every other level moves: level k
-    keeps its own term v_k^2/(E - eps_k) exact and linearizes the rest of S
-    about x_k; the small root in E - eps_k of that quadratic (the one that
-    goes to eps_k with Lambda) is its next x_k.  A level stays open while
-    its moves are finite and each moves it less than _KEEP_ROUNDS times the
-    one before, as quadratic convergence does.  One whose second move fails
-    that goes back to its seed, and one whose third move fails keeps its
-    second; a level confirmed after two moves has passed it with its second.
-    Only the first-order seeds eps_k - i*Lambda*v_k^2 with _regime's ratio
-    above _ROUND_RATIO take part, so the collective seed and the seeds
-    already within about one Aberth pass of their roots cost no row, and
-    strong seeds never move.  Moved seeds are pushed apart as _seeds' are.
-
-    check[k] is the relative Newton step of a confirmed level, which
-    _aberth then leaves frozen, and inf for the levels left to iterate.
-    Two positions next to one root can both pass the check, since Newton's
-    step has no repulsion, so a confirmed level that has another position
-    within sqrt(tol)*(unit + max |z|) before _separate is left to iterate
-    too, as is any level that _separate moves: a moved level's check no
-    longer holds where it stands.
-    """
-    strong, ratio = _regime(eps, v2, lam)
-    check = np.full(z.size, np.inf)
-    k = np.flatnonzero((ratio > _ROUND_RATIO) & (z == eps - 1j * lam * v2))
-    if strong or not k.size:
-        return z, check
-    unit = _step_unit(eps)
-    seed, x = z[k], z[k]
-    prev = np.full(k.size, np.inf)  # each open level's latest move
-    open_ = np.arange(k.size)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(3):
-            step, xn = _own_pole_round(x[open_], k[open_], eps, v2, lam, unit)
-            done = step < tol  # false for a non-finite step too
-            check[k[open_[done]]] = step[done]
-            move = np.abs(xn - x[open_])
-            go = ~done & np.isfinite(xn) & (move < _KEEP_ROUNDS * prev[open_])
-            if i == 1:  # a level whose second move fails goes back to its seed
-                back = open_[~done & ~go]
-                x[back] = seed[back]
-            x[open_[go]] = xn[go]
-            prev[open_[go]] = move[go]
-            open_ = open_[go]
-            if not open_.size:
-                break
-    z[k] = x
-    check[_crowded(z, np.sqrt(tol) * (unit + np.abs(z).max()))] = np.inf
-    before = z.copy()
-    _separate(z, 0.7 + 0.7j, unit)
-    check[z != before] = np.inf
-    return z, check
-
-
-def _own_pole_round(x: np.ndarray, k: np.ndarray, eps: np.ndarray, v2: np.ndarray, lam: complex, unit: float):
-    """(step, next x) of the levels k at their positions x: one _cauchy_sums pass, see _own_pole_rounds.
-
-    The sums and the complex temporaries are freed on return, before the
-    next round's pass allocates its blocks.
-    """
-    s = _cauchy_sums(x, eps, v2, 2)
-    step = np.abs((s[0] - 1j / lam) / s[1]) / (unit + np.abs(x))
-    w, e = v2[k], eps[k]
-    d = x - e
-    own = w / d
-    slope = own / d - s[1]  # T_k': S' is -s[1], and the own term's slope is -w/d^2
-    # slope*y^2 + b*y + w = 0 in y = E - eps_k; its small root is -2w over the larger b -+ sqrt
-    b = s[0] - own - slope * d - 1j / lam
-    sq = np.sqrt(b * b - 4.0 * slope * w)
-    return step, e - 2.0 * w / (b + np.where((b.conjugate() * sq).real >= 0, sq, -sq))
-
-
-def _seeds(eps: np.ndarray, v2: np.ndarray, lam: complex) -> np.ndarray:
-    """Cold seeds for the coupled levels eps (strictly increasing, v2 > 0), one per level.
-
-    Strong regime, when more than half of the levels have
+    Strong regime (_regime), when more than half of the levels have
     |Lambda|*v_k^2 > spacing_k/pi (spacing_k: distance to the nearest other
     level): the collective root centroid - 1j*Lambda*sum(v^2) seeds the level
     nearest to it, level j say, and the trapped states m + (i/Lambda)/S'(m)
@@ -617,25 +530,85 @@ def _seeds(eps: np.ndarray, v2: np.ndarray, lam: complex) -> np.ndarray:
     Once |Lambda|*sum(v^2) is comparable to the level span, one eigenvalue
     separates from the cloud toward the collective root; the seed nearest it
     is swapped for it, which keeps the iteration from splitting a single
-    deep root across two iterates.
+    deep root across two iterates.  A weak root sits next to its own level,
+    so the other first-order seeds with _regime's ratio above _ROUND_RATIO
+    (the seeds not already within about one Aberth pass of their roots)
+    then take up to three own-pole rounds.  A round is one _cauchy_sums pass
+    at the current positions x of the levels still open.  Its S and S'
+    first check x: a level whose Newton step d = (S - i/Lambda)/S' has
+    |d|/(unit + |x|) below tol, the solve's final tol, is confirmed, keeps x
+    (d is not applied) and takes no further round.  Every other level moves:
+    level k keeps its own term v_k^2/(E - eps_k) exact and linearizes the
+    rest of S about x_k; the small root in E - eps_k of that quadratic (the
+    one that goes to eps_k with Lambda) is its next x_k.  A level stays open
+    while its moves are finite and each moves it less than _KEEP_ROUNDS
+    times the one before, as quadratic convergence does.  One whose second
+    move fails that goes back to its seed, and one whose third move fails
+    keeps its second; a level confirmed after two moves has passed it with
+    its second.  A round costs about half an Aberth row per open level.
 
-    Seeds closer than 1e-12*scale are jittered apart deterministically so
-    the Aberth repulsion term is finite.
+    Seeds closer than 1e-12*scale are then jittered apart deterministically
+    (_separate), so the Aberth repulsion term is finite.
+
+    check[k] is the relative Newton step of a confirmed level, which _aberth
+    then leaves frozen, and inf for the levels left to iterate, every strong
+    seed among them.  Newton's step has no repulsion, so two positions next
+    to one root can both pass the check: a confirmed level that has another
+    position within sqrt(tol)*(unit + max |z|) before _separate is left to
+    iterate too, as is any level that _separate moves, whose check no longer
+    holds where it stands.
     """
-    n = eps.size
     tot = v2.sum()
-    cen = (eps * v2).sum() / tot
-    deep = cen - 1j * lam * tot
-    if _regime(eps, v2, lam)[0]:
+    deep = (eps * v2).sum() / tot - 1j * lam * tot  # the collective root
+    unit = _step_unit(eps)
+    check = np.full(eps.size, np.inf)
+    strong, ratio = _regime(eps, v2, lam)
+    if strong:
         mid = (eps[1:] + eps[:-1]) / 2.0
         z = np.insert(mid + (1j / lam) / _slope(mid, eps, v2), int(np.argmin(np.abs(eps - deep))), deep)
-        return _separate(z, 0.7 + 0.7j, _step_unit(eps))
+        return _separate(z, 0.7 + 0.7j, unit), check
     z = (eps - 1j * lam * v2).astype(complex)
-    span = (eps.max() - eps.min()) if n > 1 else 1.0
-    if n > 1 and abs(lam) * tot > span / (2 * n):
+    take = ratio > _ROUND_RATIO
+    if abs(lam) * tot > (eps[-1] - eps[0]) / (2 * eps.size):
         j = int(np.argmin(np.abs(z - deep)))
         z[j] = deep
-    return _separate(z, 0.7 + 0.7j, _step_unit(eps))
+        take[j] = False
+    k = np.flatnonzero(take)
+    seed, x = z[k], z[k]
+    prev = np.full(k.size, np.inf)  # each open level's latest move
+    open_ = np.arange(k.size)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(3):
+            if not open_.size:
+                break
+            xo = x[open_]
+            s = _cauchy_sums(xo, eps, v2, 2)
+            step = np.abs((s[0] - 1j / lam) / s[1]) / (unit + np.abs(xo))
+            w, e = v2[k[open_]], eps[k[open_]]
+            d = xo - e
+            own = w / d
+            slope = own / d - s[1]  # T_k': S' is -s[1], and the own term's slope is -w/d^2
+            # slope*y^2 + b*y + w = 0 in y = E - eps_k; its small root is -2w over the larger b -+ sqrt
+            b = s[0] - own - slope * d - 1j / lam
+            sq = np.sqrt(b * b - 4.0 * slope * w)
+            xn = e - 2.0 * w / (b + np.where((b.conjugate() * sq).real >= 0, sq, -sq))
+            del s, w, e, d, own, slope, b, sq  # freed before the next round's pass allocates its blocks
+            done = step < tol  # false for a non-finite step too
+            check[k[open_[done]]] = step[done]
+            move = np.abs(xn - xo)
+            go = ~done & np.isfinite(xn) & (move < _KEEP_ROUNDS * prev[open_])
+            if i == 1:  # a level whose second move fails goes back to its seed
+                back = open_[~done & ~go]
+                x[back] = seed[back]
+            x[open_[go]] = xn[go]
+            prev[open_[go]] = move[go]
+            open_ = open_[go]
+    z[k] = x
+    check[_crowded(z, np.sqrt(tol) * (unit + np.abs(z).max()))] = np.inf
+    before = z.copy()
+    _separate(z, 0.7 + 0.7j, unit)
+    check[z != before] = np.inf
+    return z, check
 
 
 def _sorted_order(e: np.ndarray) -> np.ndarray:
@@ -682,8 +655,16 @@ def _condition(cols: np.ndarray, bil: np.ndarray, herm: np.ndarray) -> np.ndarra
 
     bil is psi^T psi = sum v^2 r^2 and herm is <psi|psi> = sum v^2 |r|^2.
     Raises IllConditionedNormalizationError, naming those of cols, where it
-    is below _NORM_FLOOR.
+    is below _NORM_FLOOR, or where herm is not finite, as at a coupling so
+    small that |r| ~ 1/(|Lambda| v^2) squared overflows; |bil| <= herm, so
+    the ratio is finite wherever herm is.
     """
+    over = cols[~np.isfinite(herm)]
+    if over.size:
+        raise IllConditionedNormalizationError(
+            "normalization sums overflowed: coupling too small for c-normalization",
+            state_indices=tuple(int(c) for c in over),
+        )
     cond = np.abs(bil) / herm
     ill = cols[cond < _NORM_FLOOR]
     if ill.size:
@@ -705,7 +686,8 @@ def _level_vectors(model: EffectiveModel, roots: np.ndarray, coupling) -> np.nda
     act &= _as_lambda(coupling) != 0  # at lambda = 0 every level is bare
     levels = np.flatnonzero(act)
     e = roots[levels]
-    sums, herm = _cauchy_sums(e, eps_a, v2_a, 2, mag=2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # _condition reports an overflow
+        sums, herm = _cauchy_sums(e, eps_a, v2_a, 2, mag=2)
     _condition(levels, sums[1], herm)
     return _c_normalized_vectors(np.arange(roots.size), act, levels, e, eps_a, model.couplings[act], sums[1])
 
@@ -737,15 +719,13 @@ class Spectrum:
     Without them, at lambda = 0 or toward lambda = 0 it is
     energies[warm_order] itself.
 
-    iterations counts the Aberth iterations of the levels left over after
-    the own-pole rounds that move and confirm weak cold seeds, not the
-    rounds' passes, so it is 0 when the rounds confirm every level (see
-    eigen_spectrum).  residual is the largest relative step that ended the
-    solve: without vectors, the last Aberth step or the Newton step that
-    confirmed a level in the rounds, |S - i/Lambda|/|S'| over unit + |E|;
-    with them, the Newton step of the norm pass's check (see
-    eigen_spectrum).  A solve that ran no Aberth iteration reports its
-    rounds' largest Newton step, not 0.
+    iterations counts the Aberth iterations of the levels that the cold
+    seeds' own-pole rounds (_seeds) did not confirm, so it is 0 when they
+    confirm every level.  residual is the largest relative step that ended
+    the solve: without vectors, the last Aberth step or the Newton step
+    that confirmed a level in the rounds, |S - i/Lambda|/|S'| over
+    unit + |E|; with them, the Newton step of the norm pass's check (see
+    eigen_spectrum).
     """
 
     energies: np.ndarray
@@ -800,18 +780,17 @@ def _roots(model: EffectiveModel, couplings, seeds=None, maxiter: int = 500, tol
 
     roots is (B, N) in level order: roots[b, k] is level k at couplings[b],
     continuing seeds[b, k] when B warm starts are given (each read as
-    eigen_spectrum reads warm_start), else from _seeds.  _own_pole_rounds
-    first moves the weak cold seeds and confirms those on their roots by a
-    Newton step below final_tol, the tolerance the solve must meet in the
-    end (tol when None; a vector solve's _aberth stops at its handover
-    instead).  _aberth iterates only the levels left over, to tol, the
-    confirmed ones frozen: iterations counts its iterations alone, 0 when the
-    rounds confirm every level, and last_step is the largest of its last
-    steps and the confirming Newton steps.  Only coupled levels
-    at a nonzero coupling are iterated: a split-off level, and every level at
-    lambda = 0, keeps its bare energy exactly, and a single coupled level
-    takes its exact root (0 iterations, ok).  Raises InvalidCouplingError for
-    a NaN or infinite coupling.
+    eigen_spectrum reads warm_start), else from _seeds, which confirms weak
+    cold seeds on their roots by a Newton step below final_tol, the
+    tolerance the solve must meet in the end (tol when None; a vector
+    solve's _aberth stops at its handover instead).  _aberth iterates the
+    levels left over, every warm one among them, to tol, the confirmed ones
+    frozen: iterations counts its iterations alone, and last_step is the
+    largest of its last steps and the confirming Newton steps.  Only coupled
+    levels at a nonzero coupling are iterated: a split-off level, and every
+    level at lambda = 0, keeps its bare energy exactly, and a single coupled
+    level takes its exact root (0 iterations, ok).  Raises
+    InvalidCouplingError for a NaN or infinite coupling.
     """
     lams = [_as_lambda(c) for c in couplings]
     lam = np.array(lams, dtype=complex)
@@ -825,21 +804,19 @@ def _roots(model: EffectiveModel, couplings, seeds=None, maxiter: int = 500, tol
     if eps.size == 1:
         roots[at] = eps - 1j * lam[live, None] * v2
     elif eps.size and live.size:
-        frozen = None
         if seeds is None:
             final = tol if final_tol is None else final_tol
-            rounds = [_own_pole_rounds(_seeds(eps, v2, lams[b]), eps, v2, lams[b], final) for b in live]
-            z0, check = map(np.array, zip(*rounds))
-            frozen = check < np.inf
+            z0, check = map(np.array, zip(*(_seeds(eps, v2, lams[b], final) for b in live)))
         else:
             z0 = _off_poles(np.asarray(seeds, dtype=complex)[at], eps, v2, lam[live, None])
             z0 = _separate(z0, 0.7 + 0.7j, _step_unit(eps))
+            check = np.full(z0.shape, np.inf)
+        frozen = check < np.inf
         floor = partial(_step_floor, eps, v2, 1)
         roots[at], its[live], ok[live], last[live] = _aberth(
             eps, _spectrum_logderiv(v2, lam[live]), z0, floor=floor, maxiter=maxiter, tol=tol, frozen=frozen
         )
-        if frozen is not None:
-            last[live] = np.maximum(last[live], np.where(frozen, check, 0.0).max(axis=1))
+        last[live] = np.maximum(last[live], check.max(axis=1, where=frozen, initial=0.0))
     return roots, its, ok, last
 
 
@@ -864,17 +841,14 @@ def eigen_spectrum(
     since the iteration cannot step off a pole.
 
     The roots come from one _aberth attempt (_roots), from warm_start or, on
-    a cold solve, from _seeds; below the transition up to three own-pole
-    rounds first move those seeds onto their roots and confirm them by a
-    Newton step below tol, and the attempt iterates only the levels left
-    over (see the module docstring).  iterations counts those Aberth
-    iterations alone, 0 when the rounds confirm every level, so it says
-    little of the cost: on the perturbed fence at N = 3001 and
-    lambda = 0.05 it is 3 for the collective seed's 3 rows, while the
-    rounds take 3.0 N rows at about half the cost of an Aberth row each,
-    where the first-order seeds took 3.0 N Aberth rows in 4 iterations.
-    residual is the attempt's largest last relative step, or the largest
-    Newton step that confirmed a level in the rounds when that is larger.
+    a cold solve, from _seeds, which below the transition confirms the seeds
+    it has moved onto their roots by a Newton step below tol; the attempt
+    iterates only the levels left over.  iterations counts those Aberth
+    iterations alone, 0 when _seeds confirms every level, so it says little
+    of the cost of a weak cold solve, whose own-pole rounds take about half
+    an Aberth row per level each.  residual is the attempt's largest last
+    relative step, or the largest Newton step that confirmed a level in
+    _seeds when that is larger.
     Near an exceptional point, where a defective pair is defined only to
     about sqrt(machine eps), the rounding-bound stop leaves it up to 1e-7.
     At an exact exceptional point the coincident iterates stop on a
@@ -886,8 +860,8 @@ def eigen_spectrum(
     are.
 
     With compute_vectors the attempt stops at max(tol, _HANDOVER) instead
-    (the rounds still confirm at tol, so the roots they confirm pass the
-    check below as they stand), and the norm pass checks the roots by one
+    (_seeds still confirms at tol, so the roots it confirms pass the check
+    below as they stand), and the norm pass checks the roots by one
     Newton step each, which it does not apply; residual is then the largest
     relative Newton step.
     Only when that is not below tol does _roots continue from the roots to
@@ -904,7 +878,8 @@ def eigen_spectrum(
     max_relative_step) if the iteration does not converge within maxiter
     iterations, and (only when compute_vectors is set)
     IllConditionedNormalizationError when some state is too close to an
-    exceptional point for c-normalization.
+    exceptional point for c-normalization, or when the coupling is so small
+    that the normalization sums overflow.
     """
     lam = _as_lambda(coupling)
     n = model.n
@@ -931,11 +906,11 @@ def eigen_spectrum(
             break
         cols = np.flatnonzero(act[order])
         e_act = e_sorted[cols]
-        sums, herm = _cauchy_sums(e_act, eps_a, v2_a, 1 + _AHEAD, mag=2)
-        if not cols.size:
-            break
-        # the Newton step on S - i/Lambda from the norm pass's S = sums[0] and -S' = sums[1]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            sums, herm = _cauchy_sums(e_act, eps_a, v2_a, 1 + _AHEAD, mag=2)
+            if not cols.size:
+                break
+            # the Newton step on S - i/Lambda from the norm pass's S = sums[0] and -S' = sums[1]
             newton = np.abs((sums[0] - 1j / lam) / sums[1]) / (_step_unit(eps_a) + np.abs(e_act))
         last = float(newton.max())
         if last < tol:  # false for a non-finite step too
@@ -971,9 +946,9 @@ def _predicted(lam: complex, levels: np.ndarray, sums: np.ndarray, warm: np.ndar
     on that polynomial starts from the tangent d = t/a_1.  A root whose d is
     not finite keeps its place.
     """
-    t = 1j / lam_next - 1j / lam
-    a = sums[1:] * (-1.0) ** np.arange(1, _AHEAD + 1)[:, None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = 1j / lam_next - 1j / lam
+        a = sums[1:] * (-1.0) ** np.arange(1, _AHEAD + 1)[:, None]
         d = t / a[0]
         for _ in range(_NEWTON):
             f, df = a[-1], _AHEAD * a[-1]

@@ -126,11 +126,6 @@ def test_coincident_warm_entries_find_every_root(source, vectors):
     assert got.residual < 5e-14
 
 
-def _no_rounds(z, *args):
-    """_own_pole_rounds switched off: the seeds stay as _seeds made them and no level is confirmed."""
-    return z, np.full(z.size, np.inf)
-
-
 def _nearest_gap(z):
     """All-pairs distance from each point to the nearest other one of its row (inf if alone)."""
     gap = np.abs(z[..., :, None] - z[..., None, :])
@@ -406,7 +401,7 @@ def test_failed_newton_check_continues_the_aberth_solve(monkeypatch):
     # _roots at tol from the handed-over iterates, and B is still the cold solve's; so is the
     # warm curve's, whose predicted starts pass the check past lambda = 0.45.  Cold weak seeds
     # that own-pole rounds moved onto their roots would pass it, so the rounds are off here.
-    monkeypatch.setattr(secular, "_own_pole_rounds", _no_rounds)
+    monkeypatch.setattr(secular, "_ROUND_RATIO", np.inf)
     m = build_perturbed_fence(41, 0.1, 3)
     grid = np.arange(0.05, 1.0001, 0.05)
     cold = [b_measure(m, c) for c in grid]
@@ -677,7 +672,8 @@ def test_batched_aberth_members_match_single_calls(monkeypatch, model, maxiter):
     act = model.couplings != 0
     eps, v2 = model.epsilons[act], model.couplings[act] ** 2
     lams = np.array([0.05, 0.3, 0.31, 1 / np.pi, 0.9 + 0.2j, 3.0, 10.0, 0.3])
-    seeds = [secular._seeds(eps, v2, lam) for lam in lams[:-2]]
+    monkeypatch.setattr(secular, "_ROUND_RATIO", np.inf)  # the first-order seeds, not moved by own-pole rounds
+    seeds = [secular._seeds(eps, v2, lam, 5e-14)[0] for lam in lams[:-2]]
     floor = partial(secular._step_floor, eps, v2, 1)
     seeds[2] = secular._aberth(eps, secular._spectrum_logderiv(v2, 0.3), seeds[1], floor=floor)[0]  # a warm start
     # iterates on the imaginary axis lock into a mirror-symmetric cycle and need the stall kick
@@ -726,14 +722,15 @@ def test_cold_solves_match_lapack_in_both_regimes(name, phi):
         assert_complex_sets_close(eigen_spectrum(m, c).energies, ref, atol=5e-14 * scale)
 
 
-def test_seeds_follow_the_regime():
-    # weak: onsite seeds eps - i*Lambda*v^2; strong: one seed per gap midpoint
-    # plus the collective seed, which takes the level nearest to it
+def test_seeds_follow_the_regime(monkeypatch):
+    # weak: onsite seeds eps - i*Lambda*v^2 (with the own-pole rounds off); strong: one seed per
+    # gap midpoint plus the collective seed, which takes the level nearest to it
     m = build_picket_fence(101)
     eps, v2 = m.epsilons, m.couplings**2
-    weak = secular._seeds(eps, v2, 0.3)
+    monkeypatch.setattr(secular, "_ROUND_RATIO", np.inf)
+    weak = secular._seeds(eps, v2, 0.3, 5e-14)[0]
     np.testing.assert_array_equal(weak.real, eps)
-    strong = secular._seeds(eps, v2, 0.35)
+    strong = secular._seeds(eps, v2, 0.35, 5e-14)[0]
     deep = -1j * 0.35 * 101
     assert strong[50] == deep
     np.testing.assert_allclose(np.delete(strong, 50).real, (eps[1:] + eps[:-1]) / 2, atol=1e-12)
@@ -787,7 +784,7 @@ def test_weak_cold_solve_row_budget(monkeypatch, name):
         eigen_spectrum(m, lam)
         assert sum(rows) <= 0.01 * m.n and sum(passes) <= 3 * m.n, lam
     rows.clear()
-    monkeypatch.setattr(secular, "_own_pole_rounds", _no_rounds)
+    monkeypatch.setattr(secular, "_ROUND_RATIO", np.inf)
     eigen_spectrum(m, 0.05)
     assert sum(rows) >= 2.9 * m.n
 
@@ -800,9 +797,9 @@ def test_rounds_leave_two_levels_on_one_root_to_iterate(monkeypatch, where):
     # _separate moves off its root is left to iterate as well
     m = build_perturbed_fence(41, 0.1, 2)
     eps, v2 = m.epsilons, m.couplings**2
-    _, check = secular._own_pole_rounds(secular._seeds(eps, v2, 0.05), eps, v2, 0.05, 5e-14)
+    _, check = secular._seeds(eps, v2, 0.05, 5e-14)
     assert np.isfinite(check[5]) and np.isfinite(check[6])
-    crowded, separate, rounds = secular._crowded, secular._separate, secular._own_pole_rounds
+    crowded, separate, seeds = secular._crowded, secular._separate, secular._seeds
     inside, placed = [], []
 
     def place(z):  # before the rounds' first closing step, level 6 goes next to level 5's root
@@ -824,15 +821,15 @@ def test_rounds_leave_two_levels_on_one_root_to_iterate(monkeypatch, where):
     def marked(*args):
         inside.append(True)
         try:
-            return rounds(*args)
+            return seeds(*args)
         finally:
             inside.clear()
             placed.clear()
 
     monkeypatch.setattr(secular, "_crowded", guard)
     monkeypatch.setattr(secular, "_separate", closing)
-    monkeypatch.setattr(secular, "_own_pole_rounds", marked)
-    _, check = marked(secular._seeds(eps, v2, 0.05), eps, v2, 0.05, 5e-14)
+    monkeypatch.setattr(secular, "_seeds", marked)
+    _, check = marked(eps, v2, 0.05, 5e-14)
     assert np.isinf(check[6]) and np.isinf(check[5]) == (where != "moved_by_separate")
     assert np.count_nonzero(np.isfinite(check)) >= eps.size - 3  # the collective seed is not confirmed either
     spec = eigen_spectrum(m, 0.05)
@@ -885,11 +882,11 @@ def test_own_pole_rounds_keep_every_level_on_its_root(monkeypatch, name):
     assert weak
     moved = 0
     for lam in weak:
-        seeds = secular._seeds(eps, v2, lam)
-        moved += np.count_nonzero(secular._own_pole_rounds(seeds.copy(), eps, v2, lam, 5e-14)[0] != seeds)
+        rounds = secular._seeds(eps, v2, lam, 5e-14)[0]
         spec = eigen_spectrum(m, lam)
         with monkeypatch.context() as mp:
-            mp.setattr(secular, "_own_pole_rounds", _no_rounds)
+            mp.setattr(secular, "_ROUND_RATIO", np.inf)
+            moved += np.count_nonzero(rounds != secular._seeds(eps, v2, lam, 5e-14)[0])
             first = eigen_spectrum(m, lam)
         e = first.energies[first.warm_order]
         assert np.all(np.abs(spec.energies[spec.warm_order] - e) <= 5e-14 * (unit + np.abs(e))), lam
@@ -913,22 +910,25 @@ def test_own_pole_rounds_at_degenerate_couplings(monkeypatch, lam):
     assert secular._regime(eps, v2, lam)[0] == (lam == np.nextafter(1 / np.pi, 1.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        seeds = secular._own_pole_rounds(secular._seeds(eps, v2, lam), eps, v2, lam, 5e-14)[0]
+        seeds = secular._seeds(eps, v2, lam, 5e-14)[0]
         spec = eigen_spectrum(m, lam)
         # every level takes the rounds: where they are not finite, its seed stays first-order
         monkeypatch.setattr(secular, "_ROUND_RATIO", 0.0)
-        forced = secular._own_pole_rounds(secular._seeds(eps, v2, lam), eps, v2, lam, 5e-14)[0]
+        forced = secular._seeds(eps, v2, lam, 5e-14)[0]
     assert np.isfinite(seeds).all() and np.isfinite(forced).all()
     ref = np.linalg.eigvals(m.hamiltonian(lam))
     assert_complex_sets_close(spec.energies, ref, atol=1e-12 * max(20.0, abs(lam) * m.coupling_strength))
     if lam == 5e-324:
-        np.testing.assert_array_equal(forced, secular._seeds(eps, v2, lam))
+        monkeypatch.setattr(secular, "_ROUND_RATIO", np.inf)
+        np.testing.assert_array_equal(forced, secular._seeds(eps, v2, lam, 5e-14)[0])
 
 
 def test_non_finite_rounds_keep_the_first_order_seeds(monkeypatch):
     m = build_perturbed_fence(41, 0.1, 3)
     eps, v2 = m.epsilons, m.couplings**2
-    first = secular._seeds(eps, v2, 0.05)
+    with monkeypatch.context() as mp:
+        mp.setattr(secular, "_ROUND_RATIO", np.inf)
+        first = secular._seeds(eps, v2, 0.05, 5e-14)[0]
     sums = secular._cauchy_sums
 
     def broken(x, *args):  # the first level's sums overflow, in whichever column a round holds it
@@ -937,9 +937,57 @@ def test_non_finite_rounds_keep_the_first_order_seeds(monkeypatch):
         return s
 
     monkeypatch.setattr(secular, "_cauchy_sums", broken)
-    got = secular._own_pole_rounds(first.copy(), eps, v2, 0.05, 5e-14)[0]
+    got = secular._seeds(eps, v2, 0.05, 5e-14)[0]
     assert got[0] == first[0] and np.isfinite(got).all()
     assert np.count_nonzero(got != first) == first.size - 2  # the collective seed stays out too
+
+
+def test_a_cold_solve_decides_its_regime_and_separates_once(monkeypatch):
+    # the seed regime is read once per cold solve, and every solve, cold or warm, pushes its
+    # seeds apart in one _separate call
+    m = build_perturbed_fence(41, 0.1, 3)
+    calls = []
+    for name in ("_regime", "_separate"):
+        real = getattr(secular, name)
+        monkeypatch.setattr(secular, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    for lam in (0.01, 0.05, 0.5):
+        calls.clear()
+        spec = eigen_spectrum(m, lam)
+        assert calls == ["_regime", "_separate"], lam
+        calls.clear()
+        eigen_spectrum(m, lam * 1.01, warm_start=spec.energies[spec.warm_order])
+        assert calls == ["_separate"], lam
+
+
+@pytest.mark.parametrize("apart", [1e-13, 1e-11])
+@pytest.mark.parametrize("lam", [0.01, 0.05, 0.2])
+@pytest.mark.parametrize("vectors", [False, True])
+def test_near_coincident_levels_take_the_rounds(apart, lam, vectors):
+    # two levels closer than the push-apart's reach (1e-13) or just beyond it (1e-11): their
+    # first-order seeds take the own-pole rounds like any other, and the crowding guard leaves
+    # them to the iteration
+    f = build_picket_fence(15)
+    eps = f.epsilons.copy()
+    eps[8] = eps[7] + apart
+    m = secular.EffectiveModel(eps, f.couplings, f.recipe)
+    spec = eigen_spectrum(m, lam, compute_vectors=vectors)
+    assert_complex_sets_close(spec.energies, np.linalg.eigvals(m.hamiltonian(lam)), atol=1e-12)
+    assert spec.residual < 5e-14
+
+
+def test_vector_solves_at_tiny_couplings_fail_loudly():
+    # |r| ~ 1/(Lambda v^2): from Lambda ~ 1e-70 the norm pass's higher powers overflow, which must
+    # pass silently (RuntimeWarnings are errors here), and from ~1e-160 so do S' and the Hermitian
+    # norm, whose NaN condition would pass a plain floor test and give B = NaN unflagged
+    m = build_picket_fence(15)
+    spec = eigen_spectrum(m, 1e-70, compute_vectors=True)
+    np.testing.assert_allclose(spec.hermitian_norms, 1.0, rtol=1e-12)
+    assert np.isfinite(spec.toward(1.1e-70)).all()
+    with pytest.raises(IllConditionedNormalizationError, match="overflowed"):
+        eigen_spectrum(m, 1e-160, compute_vectors=True)
+    assert b_curve(m, [1e-160, 0.1]).flagged == (0,)
+    with pytest.raises(IllConditionedNormalizationError, match="overflowed"):  # the loop transport's norm pass
+        secular._level_vectors(m, secular._roots(m, [1e-160])[0][0], 1e-160)
 
 
 # find_eps(build_power_law(1001, 1, 4))[990].coupling
@@ -960,7 +1008,8 @@ def test_solve_stops_at_the_rounding_floor(delta):
     eps, v2 = m.epsilons[act], m.couplings[act] ** 2
     # without the bound (a zero floor), a step that stops shrinking below 1e-12 ends the iteration
     zero = lambda z: np.zeros(z.size)
-    _, its, ok, last = secular._aberth(eps, secular._spectrum_logderiv(v2, c), secular._seeds(eps, v2, c), floor=zero)
+    seeds = secular._seeds(eps, v2, c, 5e-14)[0]  # strong regime: no own-pole rounds
+    _, its, ok, last = secular._aberth(eps, secular._spectrum_logderiv(v2, c), seeds, floor=zero)
     assert ok and its <= 12 and last < 1e-12
 
 
