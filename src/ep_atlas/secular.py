@@ -82,7 +82,8 @@ product from the last, plus sum |w r^p| for a rounding bound.  Only the cold
 seeds' S'(m) (_slope) and the eigenvector matrix keep their own forms.  The
 norm pass runs the kernel to top = 1 + _AHEAD: its powers past the second
 are the Taylor coefficients of S about each root, from which
-Spectrum.toward predicts the roots at the next coupling of a continuation.
+Spectrum.toward predicts the roots at the next coupling of a continuation,
+with the term of each root's nearest level kept exact (_predicted).
 
 A solve with vectors spends no Aberth row on confirming its roots, in the
 way Aberth solvers end with a Newton check (Bini, Numer. Algorithms 13,
@@ -714,10 +715,13 @@ class Spectrum:
 
     toward(coupling) is that warm start moved to another coupling: with
     vectors requested, the norm pass also kept sum v^2 r^p for p up to
-    1 + _AHEAD at each root, the Taylor coefficients of S there, and each
-    coupled root moves by the root of that truncated series (_predicted).
-    Without them, at lambda = 0 or toward lambda = 0 it is
-    energies[warm_order] itself.
+    1 + _AHEAD at each root, the Taylor coefficients of S there.  Each
+    coupled root moves to where S, with the term of its nearest level kept
+    exact and the rest of S truncated to that series, takes the new value
+    (_predicted); below the transition that lands within the handover of
+    the next solve, which then takes one Aberth row per root.  Without the
+    sums, at lambda = 0 or toward lambda = 0 it is energies[warm_order]
+    itself.
 
     iterations counts the Aberth iterations of the levels that the cold
     seeds' own-pole rounds (_seeds) did not confirm, so it is 0 when they
@@ -933,31 +937,71 @@ def eigen_spectrum(
         hermitian_norms=norms,
         condition=cond,
         _build_vectors=partial(_c_normalized_vectors, order, act, cols, e_act, eps_a, model.couplings[act], bil),
-        _ahead=partial(_predicted, lam, order[cols], sums) if cols.size else None,
+        _ahead=partial(_predicted, lam, order[cols], sums, eps_a, v2_a) if cols.size else None,
     )
 
 
-def _predicted(lam: complex, levels: np.ndarray, sums: np.ndarray, warm: np.ndarray, lam_next: complex) -> np.ndarray:
+def _predicted(
+    lam: complex, levels: np.ndarray, sums: np.ndarray, eps: np.ndarray, v2: np.ndarray,
+    warm: np.ndarray, lam_next: complex,
+) -> np.ndarray:
     """warm with the roots of the levels moved from lam to lam_next, in place.
 
-    sums[p] = sum v^2 r^(p+1) at each root E, r = 1/(E - eps).  Since
-    1/(E + d - eps) = sum_p (-r)^p r d^p, the shift d that keeps S = i/Lambda
-    solves sum_{p=1.._AHEAD} (-1)^p sums[p] d^p = i/lam_next - i/lam.  Newton
-    on that polynomial starts from the tangent d = t/a_1.  A root whose d is
-    not finite keeps its place.
+    sums[p] = sum v^2 r^(p+1) at each root E, r = 1/(E - eps), and the shift
+    d keeps S(E + d) = i/lam_next.  The term of the pole eps_k nearest E
+    stays exact: with w = v_k^2 and r_k = 1/(E - eps_k) it is
+    w r_k/(1 + d r_k), and only the rest of S is expanded, by
+    1/(E + d - eps) = sum_p (-r)^p r d^p, from rest[p] = sums[p] - w r_k^(p+1).
+    So d solves
+
+        w r_k/(1 + d r_k) + sum_{p=1.._AHEAD} (-1)^p rest[p] d^p = t + w r_k,
+
+    t = i/lam_next - i/lam.  Below the transition, where E sits next to its
+    own level at about |Lambda| v_k^2, the term of eps_k is nearly all of the
+    move, and a plain Taylor series of S about E, whose radius is that
+    distance, barely converges.  Newton runs on the equation times
+    1 + d r_k (_shift), which is exact for the pole term alone, from the
+    tangent d = -t/sums[1].  The rest's series converges only within the
+    distance from E to the poles next to eps_k, so a root whose d is not
+    inside it, or not finite, takes the plain Taylor shift of all of S
+    instead, from the same start; a root whose plain shift is not finite
+    either keeps its place.
     """
+    e = warm[levels]
+    ext = np.concatenate(([-np.inf], eps, [np.inf]))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        k = np.searchsorted(ext, e.real)
+        k -= e.real - ext[k - 1] < ext[k] - e.real  # ext[k] = eps[k - 1] is the pole nearest E
+        r = 1.0 / (e - ext[k])
+        wr2 = v2[k - 1] * r * r
+        sign = (-1.0) ** np.arange(1, _AHEAD + 1)[:, None]
         t = 1j / lam_next - 1j / lam
-        a = sums[1:] * (-1.0) ** np.arange(1, _AHEAD + 1)[:, None]
-        d = t / a[0]
-        for _ in range(_NEWTON):
-            f, df = a[-1], _AHEAD * a[-1]
-            for p in range(_AHEAD - 1, 0, -1):
-                f = f * d + a[p - 1]
-                df = df * d + p * a[p - 1]
-            d = d - (f * d - t) / df
+        d = _shift(sign * (sums[1:] - wr2 * r ** np.arange(_AHEAD)[:, None]), wr2, r, t)
+        plain = ~(np.abs(d) < np.minimum(np.abs(e - ext[k - 1]), np.abs(e - ext[k + 1])))
+        if plain.any():
+            d[plain] = _shift(sign * sums[1:, plain], 0.0, 0.0, t)
     warm[levels] += np.where(np.isfinite(d), d, 0.0)
     return warm
+
+
+def _shift(a: np.ndarray, wr2, r, t: complex) -> np.ndarray:
+    """_NEWTON Newton steps from the tangent on (1 + d r)(sum_p a_p d^p - t) - wr2 d = 0.
+
+    a holds a_1.._AHEAD per root.  With wr2 = w r^2 of a pole kept exact and
+    r its 1/(E - eps_k) this is _predicted's equation times 1 + d r; with
+    wr2 = r = 0 it is the plain Taylor model sum_p a_p d^p = t.
+    """
+    # Horner coefficients of P(d)/d = sum_p a_p d^(p-1) and of P'(d) = sum_p p a_p d^(p-1), side by side
+    c = np.stack((a, a * np.arange(1, _AHEAD + 1)[:, None]), axis=1)
+    d = t / (a[0] - wr2)
+    for _ in range(_NEWTON):
+        x = c[-1]
+        for p in range(_AHEAD - 2, -1, -1):
+            x = x * d + c[p]
+        g = x[0] * d - t
+        q = 1.0 + d * r
+        d = d - (q * g - wr2 * d) / (r * g + q * x[1] - wr2)
+    return d
 
 
 def _broadest_root(model: EffectiveModel, coupling) -> complex | None:

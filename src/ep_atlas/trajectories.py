@@ -7,11 +7,13 @@ level k, in the order of Spectrum.warm_order, whatever order the energies
 sort in), so no matching happens here.  After the first (cold) point,
 grid points are solved in batches, one call per batch of the root stage
 that eigen_spectrum uses too (secular._roots): every point's seed is the
-linear (secant) extrapolation of the last two accepted rows, or the last
-row alone when no second row continues it.  A point is accepted only if
-every root moved by less than roughly half its distance to the nearest
-other root (the balls are then disjoint and the continuation is unique);
-a batch keeps its leading run of accepted points.  A point at lambda = 0
+quadratic extrapolation through the last three accepted rows, the linear
+(secant) one through the last two when no third row continues them or two
+of the three share a parameter, or the last row alone when no second row
+continues it.  A point is accepted only if every root moved by less than
+roughly half its distance to the nearest other root (the balls are then
+disjoint and the continuation is unique); a batch keeps its leading run of
+accepted points.  A point at lambda = 0
 is the bare levels exactly and is tested like any other.  The batch size
 doubles after a batch that is accepted whole, up to what half an engine
 row block holds, and falls back to one point after a rejection.  The
@@ -21,8 +23,8 @@ An exceptional point crossed by the path makes the continuation genuinely
 undefined (the two branches reconnect at equal distances), which surfaces
 as TrajectoryAmbiguityError unless the caller opts into a restart from a
 cold solve at such points.  This walk, _walk, takes any path of couplings
-with a real parameter for the secant (lambda here); the monodromy loop
-walks its contour with it too, by the winding parameter.
+with a real parameter for the extrapolation (lambda here); the monodromy
+loop walks its contour with it too, by the winding parameter.
 
 The order parameter walks a grid too, but needs only the broadest width at
 each point.  Past the collectivity transition one state holds more than half
@@ -108,9 +110,9 @@ def _walk(model: EffectiveModel, param: np.ndarray, couplings: np.ndarray, polic
 
     rows[i] holds the roots at couplings[i] in level order, the first row
     from a cold solve.  param is a real parameter of the path (lambda for a
-    sweep, the winding parameter for a loop); it drives the secant
-    extrapolation of the seeds and names the intervals.  An interval whose
-    step cannot be matched even after bisection raises
+    sweep, the winding parameter for a loop); it drives the extrapolation
+    of the seeds and names the intervals.  An interval whose step cannot be
+    matched even after bisection raises
     TrajectoryAmbiguityError under policy 'raise'; under 'sorted' it is
     recorded and the walk restarts from a cold solve there.
     """
@@ -129,8 +131,14 @@ def _walk(model: EffectiveModel, param: np.ndarray, couplings: np.ndarray, polic
         k = min(size, cap, param.size - i)
         prev = rows[i - 1]
         if i - fresh >= 2 and param[i - 1] != param[i - 2]:
-            t = (param[i : i + k] - param[i - 1]) / (param[i - 1] - param[i - 2])
-            seeds = prev + t[:, None] * (prev - rows[i - 2])
+            # Newton's divided differences through the last two rows, or the last three
+            x = param[i : i + k, None]
+            p1, p2 = param[i - 2], param[i - 1]
+            slope = (prev - rows[i - 2]) / (p2 - p1)
+            if i - fresh >= 3 and param[i - 3] not in (p1, p2):
+                bend = (slope - (rows[i - 2] - rows[i - 3]) / (p1 - param[i - 3])) / (p2 - param[i - 3])
+                slope = slope + (x - p1) * bend
+            seeds = prev + (x - p2) * slope
         else:
             seeds = np.repeat(prev[None, :], k, axis=0)
         roots, _, ok, _ = _roots(model, couplings[i : i + k], seeds)
@@ -173,8 +181,8 @@ def sweep(
     even after bisection; policy='sorted' records the offending interval and
     restarts from a cold solve in level order, as a branch reconnection at an
     exceptional point requires.
-    Grid points are solved in batches from secant-extrapolated seeds (see
-    the module docstring); the rows agree with one warm solve per point up
+    Grid points are solved in batches from extrapolated seeds (see the
+    module docstring); the rows agree with one warm solve per point up
     to the iteration's stopping tolerance.  A NaN or infinite lambda raises
     InvalidCouplingError before any solve.
     """

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from ep_atlas import secular
+
 
 def assert_complex_sets_close(got, ref, atol):
     """Match two unordered complex sets pairwise within atol.
@@ -18,3 +20,21 @@ def assert_complex_sets_close(got, ref, atol):
         d = abs(got[j] - r)
         assert d < atol, "no partner for %s within %g (closest %g)" % (r, atol, d)
         got.pop(j)
+
+
+def count_aberth_rows(monkeypatch) -> list:
+    """Patch the spectrum callback to count the rows _aberth evaluates: one list entry per block."""
+    rows = []
+    logderiv = secular._spectrum_logderiv
+
+    def counted(v2, lam):
+        inner = logderiv(v2, lam)
+
+        def call(r, m):
+            rows.append(r.shape[0])
+            return inner(r, m)
+
+        return call
+
+    monkeypatch.setattr(secular, "_spectrum_logderiv", counted)
+    return rows

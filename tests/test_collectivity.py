@@ -21,6 +21,7 @@ from ep_atlas import (
     two_level_eps,
 )
 from ep_atlas import collectivity, secular
+from helpers import count_aberth_rows
 
 # Mean Hermitian norm of the 101-level unit ladder at coupling 1/pi, computed
 # independently with dense LAPACK diagonalization at double precision.
@@ -115,24 +116,27 @@ def test_predicted_warm_starts_save_iterations(monkeypatch):
     np.testing.assert_allclose(predicted.values, plain.values, rtol=1e-12)
 
 
+def _rows_per_solve(monkeypatch):
+    """Record the Aberth rows of each solve b_curve makes, one entry per solve."""
+    rows = count_aberth_rows(monkeypatch)
+    per_solve = []
+
+    def solve(*args, **kw):
+        before = sum(rows)
+        spec = eigen_spectrum(*args, **kw)
+        per_solve.append(sum(rows) - before)
+        return spec
+
+    monkeypatch.setattr(collectivity, "eigen_spectrum", solve)
+    return per_solve
+
+
 def test_newton_check_saves_aberth_rows(monkeypatch):
     # the norm pass confirms the roots that _aberth hands over at _HANDOVER, in place of the rows
     # that would take every step below tol
     m = build_perturbed_fence(201, 0.1, 1)
     grid = np.arange(0.05, 1.0001, 0.05)
-    rows = []
-    logderiv = secular._spectrum_logderiv
-
-    def spy(v2, lam):
-        f = logderiv(v2, lam)
-
-        def counted(r, members):
-            rows.append(r.shape[0])
-            return f(r, members)
-
-        return counted
-
-    monkeypatch.setattr(secular, "_spectrum_logderiv", spy)
+    rows = count_aberth_rows(monkeypatch)
     handed = b_curve(m, grid)
     handed_rows = sum(rows)
     rows.clear()
@@ -140,6 +144,24 @@ def test_newton_check_saves_aberth_rows(monkeypatch):
     full = b_curve(m, grid)
     assert handed_rows <= 0.75 * sum(rows)
     np.testing.assert_allclose(handed.values, full.values, rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [build_perturbed_fence(201, 0.1, 1), build_power_law(201, 1.0, 4.0), build_power_law(201, 0.0, 4.0)],
+    ids=["perturbed", "r1_t4", "r0_t4"],
+)
+def test_b_curve_row_budget(model, monkeypatch):
+    # Spectrum.toward keeps each root's nearest pole exact, so below the transition, where a
+    # plain Taylor series about the root barely converges, a warm point takes one row per root
+    grid = np.arange(0.05, 1.0001, 0.05)
+    rows = _rows_per_solve(monkeypatch)
+    curve = b_curve(model, grid)
+    per_point = np.array(rows) / model.n
+    assert per_point.size == grid.size
+    assert per_point.sum() <= 25.0
+    assert np.all(per_point[1:3] <= 1.1)  # lambda = 0.10 and 0.15
+    np.testing.assert_allclose(curve.values, [b_measure(model, c) for c in grid], rtol=1e-12)
 
 
 def test_b_is_at_least_one():

@@ -31,7 +31,7 @@ from ep_atlas import (
 )
 from ep_atlas import exceptional, secular
 from ep_atlas.trajectories import _matched
-from helpers import assert_complex_sets_close
+from helpers import assert_complex_sets_close, count_aberth_rows
 
 # Frozen reference spectrum for eps=(-0.5, 1.0), omega=25 deg, Lambda=0.8*exp(40j deg),
 # evaluated from the quadratic closed form at 30 significant digits.
@@ -745,31 +745,13 @@ def test_strong_cold_solve_iteration_budget(name):
         assert eigen_spectrum(m, lam).iterations <= 8, lam
 
 
-def _count_aberth_rows(monkeypatch) -> list:
-    """Patch the spectrum callback to count the rows _aberth evaluates: one list entry per block."""
-    rows = []
-    logderiv = secular._spectrum_logderiv
-
-    def counted(v2, lam):
-        inner = logderiv(v2, lam)
-
-        def call(r, m):
-            rows.append(r.shape[0])
-            return inner(r, m)
-
-        return call
-
-    monkeypatch.setattr(secular, "_spectrum_logderiv", counted)
-    return rows
-
-
 @pytest.mark.parametrize("name", ["fence", "perturbed_fence", "power_law_1_4"])
 def test_weak_cold_solve_row_budget(monkeypatch, name):
     # own-pole rounds move the first-order seeds onto their roots and confirm them there, so
     # _aberth iterates only the collective seed's few rows, where the first-order seeds took
     # three passes of N rows; the rounds' passes (and the rounding floor's) take at most 3 N
     m = FAMILIES[name](1001)
-    rows = _count_aberth_rows(monkeypatch)
+    rows = count_aberth_rows(monkeypatch)
     passes = []
     sums = secular._cauchy_sums
 
@@ -1085,3 +1067,47 @@ def test_toward_predicts_the_next_roots():
     np.testing.assert_array_equal(spec.toward(0.0), plain)
     bare = eigen_spectrum(m, 0.0, compute_vectors=True)
     np.testing.assert_array_equal(bare.toward(0.1), m.epsilons.astype(complex))
+
+
+def _plain_shift(sums, t):
+    # the plain Taylor model of S about each root, sum_p (-1)^p sums[p] d^p = t, Newton from the tangent
+    a = sums[1:] * (-1.0) ** np.arange(1, secular._AHEAD + 1)[:, None]
+    d = t / a[0]
+    for _ in range(secular._NEWTON):
+        f = sum(a[p - 1] * d**p for p in range(1, secular._AHEAD + 1))
+        df = sum(p * a[p - 1] * d ** (p - 1) for p in range(1, secular._AHEAD + 1))
+        d = d - (f - t) / df
+    return d
+
+
+@pytest.mark.parametrize("phi", [0.0, 37.0])
+def test_toward_keeps_the_nearest_pole_exact(phi):
+    # below the transition each root sits about |Lambda| v_k^2 from its own level, where a plain
+    # Taylor series of S barely converges; with that pole's term kept exact the prediction lands
+    # within the vector solve's handover, so each root takes one Aberth row
+    m = build_power_law(41, 1.0, 4.0)  # odd N, r > 0: the centre level is split off
+    unit = secular._step_unit(m.epsilons)
+    for lo, hi in ((0.05, 0.1), (0.1, 0.15)):
+        spec = eigen_spectrum(m, CouplingParameter(lo, phi), compute_vectors=True)
+        ahead = spec.toward(CouplingParameter(hi, phi))
+        assert ahead[20] == 0.0  # the split-off level stays exactly on its bare energy
+        nxt = eigen_spectrum(m, CouplingParameter(hi, phi), compute_vectors=True, warm_start=ahead)
+        new = nxt.energies[nxt.warm_order]
+        assert np.max(np.abs(ahead - new) / (unit + np.abs(new))) < secular._HANDOVER
+        assert nxt.iterations == 1
+    # at lambda = 0 and toward lambda = 0 toward is the plain warm start
+    bare = eigen_spectrum(m, 0.0, compute_vectors=True)
+    np.testing.assert_array_equal(bare.toward(CouplingParameter(0.1, phi)), m.epsilons.astype(complex))
+    np.testing.assert_array_equal(spec.toward(0.0), spec.energies[spec.warm_order])
+    # a root whose own-pole shift is not finite (here: one put onto its level) takes the plain shift
+    lam, levels, sums = spec._ahead.args[:3]
+    warm = spec.energies[spec.warm_order]
+    j = 5
+    warm[levels[j]] = m.epsilons[levels[j]]
+    c = CouplingParameter(0.16, phi).value
+    got = spec._ahead(warm.copy(), c)
+    d = _plain_shift(sums, 1j / c - 1j / lam)
+    assert got[levels[j]] == pytest.approx(m.epsilons[levels[j]] + d[j], rel=1e-12)
+    # at tiny couplings the higher sums overflow: the prediction stays finite, with no warning
+    tiny = eigen_spectrum(m, CouplingParameter(1e-70, phi), compute_vectors=True)
+    assert np.isfinite(tiny.toward(CouplingParameter(1.1e-70, phi))).all()

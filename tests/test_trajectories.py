@@ -23,7 +23,7 @@ from ep_atlas import (
 )
 from ep_atlas import secular, trajectories
 from ep_atlas.trajectories import _advance, _find_peaks
-from helpers import assert_complex_sets_close
+from helpers import assert_complex_sets_close, count_aberth_rows
 
 # real-axis coalescence coupling of the 4-level unit ladder (exact resultant root)
 FENCE4_REAL_EP = 0.412011997789875
@@ -318,6 +318,20 @@ def test_batched_sweep_memory_is_bounded():
         tracemalloc.stop()
     assert traj.energies.shape == (2000, 43)
     assert peak < 4_000_000
+
+
+@pytest.mark.parametrize(
+    "model, budget",
+    [(build_picket_fence(15), 2.6), (build_picket_fence(43), 2.15), (build_perturbed_fence(15, 0.1, 1), 2.6)],
+    ids=["fence15", "fence43", "perturbed15"],
+)
+def test_walk_seeds_cost_few_rows(model, budget, monkeypatch):
+    # batches are seeded by the quadratic through the last three accepted rows (2.92, 2.26 and
+    # 2.92 Aberth rows per root per point from the secant through two)
+    rows = count_aberth_rows(monkeypatch)
+    traj = sweep(model, _FIG1_GRID, policy="sorted")
+    assert traj.ambiguous_intervals == ()
+    assert sum(rows) / (model.n * _FIG1_GRID.size) <= budget
 
 
 def _full_solves(monkeypatch):
