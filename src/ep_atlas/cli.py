@@ -414,8 +414,8 @@ def _run_loop(cfg, emit):
     model = build_two_level(eps1, eps2, omega)
     ep = two_level_eps(eps1, eps2, omega)
     radius = _get(cfg, "radius", 0.4 * float(abs(ep.coupling - ep.partner)) / 2.0, float)
-    if radius <= 0:
-        raise ConfigError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise ConfigError("radius must be positive and finite")
     rows, theta_ends = [], []
     for w in (45.0 - delta, 45.0 + delta):
         comp = omega_comparison(eps1, eps2, w, lam_factor=factor)

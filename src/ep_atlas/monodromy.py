@@ -140,10 +140,11 @@ def loop_ep(
     one winding exchanges the coalescing pair with a sign twist; with none
     inside the result is the identity.  Raises ContourError if windings is
     zero or not an integer, samples is below 3 (a triangle is the smallest
-    contour that encloses a point), the radius is not positive, or the
-    contour passes within 5% of an exceptional point or encloses more than
-    one, and ResolutionError if even a refined sampling cannot keep
-    consecutive overlaps above threshold.
+    contour that encloses a point), the radius is not positive and finite
+    (checked before the exceptional-point search), or the contour passes
+    within 5% of an exceptional point or encloses more than one, and
+    ResolutionError if even a refined sampling cannot keep consecutive
+    overlaps above threshold.
     """
     if windings != int(windings):
         raise ContourError("winding number must be an integer, got %r" % (windings,))
@@ -151,11 +152,11 @@ def loop_ep(
         raise ContourError("winding number must be nonzero")
     if samples < 3:
         raise ContourError("need at least 3 samples per winding, got %r" % (samples,))
+    radius = float(radius)
+    if not 0 < radius < np.inf:
+        raise ContourError("contour radius must be positive and finite, got %r" % (radius,))
     eps_all = expand_ep_set(find_eps(model))
     dist = np.abs(eps_all - center)
-    radius = float(radius)
-    if radius <= 0:
-        raise ContourError("contour radius must be positive")
     if np.any(np.abs(dist - radius) < 0.05 * radius):
         raise ContourError("an exceptional point lies on or hugs the contour")
     inside = eps_all[dist < radius]

@@ -53,14 +53,14 @@ the N-1 gap midpoints m, plus the collective root.  The strong seeds are
 chosen when more than half of the levels have |Lambda|*v_k^2 >
 spacing_k/pi, spacing_k being the distance to the nearest other level
 (_regime).  Either way a cold solve costs a few row evaluations per root.
-A weak root sits next to its own level, so _seeds also moves the weak
-seeds onto their roots in up to three own-pole rounds and confirms them
-there by the Newton step on S - i/Lambda, as the norm pass checks a
-vector solve's roots (below).  _aberth then iterates only the levels left
-over, the confirmed ones frozen but still repelling the rest.  That check
-has no repulsion, so _seeds leaves to the iteration a confirmed level with
-another iterate close by, and one that the push-apart of coincident seeds
-moves.
+A weak root sits next to its own level, so _seeds also moves every weak
+seed but the collective one onto its root in up to three own-pole rounds
+and confirms it there by the Newton step on S - i/Lambda, as the norm
+pass checks a vector solve's roots (below).  _aberth then iterates only
+the levels left over, the confirmed ones frozen but still repelling the
+rest.  That check has no repulsion, so _seeds leaves to the iteration a
+confirmed level with another iterate close by, and one that the push-apart
+of coincident seeds moves.
 
 Eigenvectors inherit the rank-one form, psi_j = v_j r_j with
 r = 1/(E - eps).  The bilinear self-overlap of that raw vector is
@@ -127,7 +127,7 @@ _GOLDEN = 0.618033988749895
 _NORM_FLOOR = 1e-7  # |psi^T psi|/<psi|psi> below this means the state pair is effectively defective
 _NEWTON = 3  # Newton steps on the local model from its tangent
 _AHEAD = 4  # order of the local model behind Spectrum.toward: the norm pass also sums v^2 r^3 .. v^2 r^(1 + _AHEAD)
-_ROUND_RATIO = 0.01  # the least regime ratio pi*|Lambda|*v_k^2/spacing_k at which a weak cold seed takes own-pole rounds
+_ROUNDS = 3  # own-pole rounds a weak cold seed takes at most
 _KEEP_ROUNDS = 0.25  # a level takes own-pole rounds while each moves it by less than this share of the one before
 _HANDOVER = 1e-8  # relative Aberth step at which a vector solve hands its roots to the norm pass's Newton check
 
@@ -145,9 +145,11 @@ def _as_lambda(coupling) -> complex:
 def secular_eval(model: EffectiveModel, energy, coupling) -> np.ndarray | complex:
     """Evaluate F(E) = sum_k v_k^2/(E - eps_k) - i/Lambda at one or many E.
 
-    Raises PoleProximityError if any E sits within 1e-14 of a level (relative
-    to the model's energy scale), and InvalidCouplingError for lambda = 0
-    where i/Lambda is undefined, or for a NaN or infinite lambda.
+    Raises PoleProximityError if any E sits within 1e-14 of a level, relative
+    to the model's energy scale max(unit, max |eps|) (unit as in _aberth, so
+    a model whose levels span less than 1 is checked at its own scale), and
+    InvalidCouplingError for lambda = 0 where i/Lambda is undefined, or for a
+    NaN or infinite lambda.
     """
     lam = _as_lambda(coupling)
     if lam == 0:
@@ -156,7 +158,7 @@ def secular_eval(model: EffectiveModel, energy, coupling) -> np.ndarray | comple
     scalar = e.ndim == 0
     e = np.atleast_1d(e)
     eps = model.epsilons
-    scale = max(1.0, float(np.max(np.abs(eps))))
+    scale = max(_step_unit(eps), float(np.max(np.abs(eps))))
     j = np.searchsorted(eps, e.real)  # the nearest level is eps[j - 1] or eps[j]
     near = np.minimum(np.abs(e - eps[np.maximum(j - 1, 0)]), np.abs(e - eps[np.minimum(j, eps.size - 1)]))
     if np.any(near < 1e-14 * scale):
@@ -503,18 +505,15 @@ def _step_floor(eps: np.ndarray, w: np.ndarray, p: int, z: np.ndarray) -> np.nda
     return np.finfo(float).eps * size / np.abs(p * s[p])
 
 
-def _regime(eps: np.ndarray, v2: np.ndarray, lam: complex):
-    """(strong, ratio) of the cold seeds at the levels eps (strictly increasing).
+def _regime(eps: np.ndarray, v2: np.ndarray, lam: complex) -> bool:
+    """Whether the cold seeds at the levels eps (strictly increasing) are strong.
 
-    ratio_k = pi*|Lambda|*v_k^2/spacing_k, spacing_k being the distance to the
-    nearest other level, and the regime is strong when more than half of the
-    levels have |Lambda|*v_k^2 > spacing_k/pi.
+    They are when more than half of the levels have |Lambda|*v_k^2 >
+    spacing_k/pi, spacing_k being the distance to the nearest other level.
     """
     gap = np.diff(eps)
     bound = np.minimum(np.append(gap, np.inf), np.insert(gap, 0, np.inf)) / np.pi
-    reach = abs(lam) * v2
-    with np.errstate(over="ignore"):
-        return 2 * np.count_nonzero(reach > bound) > eps.size, reach / bound
+    return 2 * np.count_nonzero(abs(lam) * v2 > bound) > eps.size
 
 
 def _seeds(eps: np.ndarray, v2: np.ndarray, lam: complex, tol: float):
@@ -532,13 +531,12 @@ def _seeds(eps: np.ndarray, v2: np.ndarray, lam: complex, tol: float):
     separates from the cloud toward the collective root; the seed nearest it
     is swapped for it, which keeps the iteration from splitting a single
     deep root across two iterates.  A weak root sits next to its own level,
-    so the other first-order seeds with _regime's ratio above _ROUND_RATIO
-    (the seeds not already within about one Aberth pass of their roots)
-    then take up to three own-pole rounds.  A round is one _cauchy_sums pass
-    at the current positions x of the levels still open.  Its S and S'
-    first check x: a level whose Newton step d = (S - i/Lambda)/S' has
-    |d|/(unit + |x|) below tol, the solve's final tol, is confirmed, keeps x
-    (d is not applied) and takes no further round.  Every other level moves:
+    so every other first-order seed then takes up to _ROUNDS own-pole
+    rounds.  A round is one _cauchy_sums pass at the current positions x of
+    the levels still open.  Its S and S' first check x: a level whose Newton
+    step d = (S - i/Lambda)/S' has |d|/(unit + |x|) below tol, the solve's
+    final tol, is confirmed, keeps x (d is not applied) and takes no further
+    round.  Every other level moves:
     level k keeps its own term v_k^2/(E - eps_k) exact and linearizes the
     rest of S about x_k; the small root in E - eps_k of that quadratic (the
     one that goes to eps_k with Lambda) is its next x_k.  A level stays open
@@ -563,23 +561,21 @@ def _seeds(eps: np.ndarray, v2: np.ndarray, lam: complex, tol: float):
     deep = (eps * v2).sum() / tot - 1j * lam * tot  # the collective root
     unit = _step_unit(eps)
     check = np.full(eps.size, np.inf)
-    strong, ratio = _regime(eps, v2, lam)
-    if strong:
+    if _regime(eps, v2, lam):
         mid = (eps[1:] + eps[:-1]) / 2.0
         z = np.insert(mid + (1j / lam) / _slope(mid, eps, v2), int(np.argmin(np.abs(eps - deep))), deep)
         return _separate(z, 0.7 + 0.7j, unit), check
     z = (eps - 1j * lam * v2).astype(complex)
-    take = ratio > _ROUND_RATIO
+    k = np.arange(eps.size)
     if abs(lam) * tot > (eps[-1] - eps[0]) / (2 * eps.size):
         j = int(np.argmin(np.abs(z - deep)))
         z[j] = deep
-        take[j] = False
-    k = np.flatnonzero(take)
+        k = np.delete(k, j)
     seed, x = z[k], z[k]
     prev = np.full(k.size, np.inf)  # each open level's latest move
     open_ = np.arange(k.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(3):
+        for i in range(_ROUNDS):
             if not open_.size:
                 break
             xo = x[open_]

@@ -187,6 +187,8 @@ def test_runtime_needs_only_numpy_and_click(tmp_path):
         ("loop", "windings = 0"),
         ("loop", "radius = -0.1"),
         ("loop", "radius = 0"),
+        ("loop", "radius = nan"),
+        ("loop", "radius = inf"),
         ("order", "lambda_start = 0.5\nlambda_stop = 0.5"),
         ("order", "lambda_list = 0.5, 0.5"),
         ("bcurve", "lambda_list = nan"),

@@ -96,6 +96,9 @@ def test_contour_guards():
     ep = two_level_eps(0.0, 1.0, 30.0)
     with pytest.raises(ContourError):
         loop_ep(m, center=complex(ep.coupling), radius=0.1, windings=0)
+    for radius in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ContourError, match="radius"):
+            loop_ep(m, center=complex(ep.coupling), radius=radius)
     with pytest.raises(ContourError):
         # an exceptional point sitting exactly on the circle
         loop_ep(m, center=complex(ep.coupling) + 0.1, radius=0.1)

@@ -298,11 +298,22 @@ def test_pole_guard_and_zero_coupling_eval():
         secular_eval(m, 0.25, CouplingParameter(0.0, 0.0))
 
 
-@pytest.mark.parametrize("build", [lambda: build_picket_fence(9), lambda: build_power_law(15, 1.0, 4.0)])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_picket_fence(9),
+        lambda: build_power_law(15, 1.0, 4.0),
+        lambda: _scaled_fence(1e-12),
+        lambda: _scaled_fence(1e-15),
+    ],
+)
 def test_secular_eval_pole_check_finds_the_nearest_level(build):
+    # the check is relative to max(min(1, span), max |eps|), so a model whose levels span less
+    # than 1 keeps its gap midpoints and its own roots, 1e-3 spacings from their levels at lambda
+    # = 0.001, which a scale floored at 1 would refuse
     m = build()
     eps = m.epsilons
-    scale = max(1.0, float(np.max(np.abs(eps))))
+    scale = max(min(1.0, float(np.ptp(eps))), float(np.max(np.abs(eps))))
     turn = np.exp(0.7j)
     # below the first level, next to the central one, above the last
     for level, way in ((eps[0], -turn.conjugate()), (eps[eps.size // 2], turn), (eps[-1], turn)):
@@ -311,6 +322,11 @@ def test_secular_eval_pole_check_finds_the_nearest_level(build):
         with pytest.raises(PoleProximityError):
             secular_eval(m, [0.5 * (eps[0] + eps[1]), level + 0.5e-14 * scale * way], 0.3)
         assert np.isfinite(secular_eval(m, level + 1e-13 * scale * way, 0.3))
+    assert np.isfinite(secular_eval(m, 0.5 * (eps[1:] + eps[:-1]), 0.3)).all()
+    for lam in (0.001, 0.01):  # the roots of the coupled levels
+        spec = eigen_spectrum(m, lam)
+        e = spec.energies[spec.warm_order][m.couplings != 0]
+        assert np.all(np.abs(secular_eval(m, e, lam)) < 1e-9 / lam)
 
 
 def test_normalization_blows_up_at_coalescence():
@@ -401,7 +417,7 @@ def test_failed_newton_check_continues_the_aberth_solve(monkeypatch):
     # _roots at tol from the handed-over iterates, and B is still the cold solve's; so is the
     # warm curve's, whose predicted starts pass the check past lambda = 0.45.  Cold weak seeds
     # that own-pole rounds moved onto their roots would pass it, so the rounds are off here.
-    monkeypatch.setattr(secular, "_ROUND_RATIO", np.inf)
+    monkeypatch.setattr(secular, "_ROUNDS", 0)
     m = build_perturbed_fence(41, 0.1, 3)
     grid = np.arange(0.05, 1.0001, 0.05)
     cold = [b_measure(m, c) for c in grid]
@@ -435,11 +451,24 @@ def test_cold_solve_memory_is_bounded():
     assert peak < 32 * 2**20
 
 
+# Every family for the norms, down to weak couplings where a vector solve's
+# roots are those that the own-pole rounds confirmed by their Newton check.
+NORM_MODELS = {
+    **CROSS_MODELS,
+    "fence": lambda: build_picket_fence(101),
+    "power_law_0_4": lambda: build_power_law(101, 0.0, 4.0),
+    "power_law_1_3": lambda: build_power_law(101, 1.0, 3.0),
+    "power_law_2_6": lambda: build_power_law(101, 2.0, 6.0),
+    "wigner_ensemble": lambda: build_spacing_ensemble(101, "wigner", 7),
+    "two_level": lambda: build_two_level(-0.5, 1.0, 25.0),
+}
+
+
 @pytest.mark.parametrize("phi", [0.0, 45.0])
-@pytest.mark.parametrize("name", sorted(CROSS_MODELS))
+@pytest.mark.parametrize("name", sorted(NORM_MODELS))
 def test_norms_match_dense_eigenvectors(name, phi):
-    m = CROSS_MODELS[name]()
-    for lam in (0.1, 0.33, 2.0):
+    m = NORM_MODELS[name]()
+    for lam in (0.001, 0.01, 0.05, 0.1, 0.33, 2.0):
         c = CouplingParameter(lam, phi)
         spec = eigen_spectrum(m, c, compute_vectors=True)
         w, vr = np.linalg.eig(m.hamiltonian(c))
@@ -672,7 +701,7 @@ def test_batched_aberth_members_match_single_calls(monkeypatch, model, maxiter):
     act = model.couplings != 0
     eps, v2 = model.epsilons[act], model.couplings[act] ** 2
     lams = np.array([0.05, 0.3, 0.31, 1 / np.pi, 0.9 + 0.2j, 3.0, 10.0, 0.3])
-    monkeypatch.setattr(secular, "_ROUND_RATIO", np.inf)  # the first-order seeds, not moved by own-pole rounds
+    monkeypatch.setattr(secular, "_ROUNDS", 0)  # the first-order seeds, not moved by own-pole rounds
     seeds = [secular._seeds(eps, v2, lam, 5e-14)[0] for lam in lams[:-2]]
     floor = partial(secular._step_floor, eps, v2, 1)
     seeds[2] = secular._aberth(eps, secular._spectrum_logderiv(v2, 0.3), seeds[1], floor=floor)[0]  # a warm start
@@ -727,7 +756,7 @@ def test_seeds_follow_the_regime(monkeypatch):
     # gap midpoint plus the collective seed, which takes the level nearest to it
     m = build_picket_fence(101)
     eps, v2 = m.epsilons, m.couplings**2
-    monkeypatch.setattr(secular, "_ROUND_RATIO", np.inf)
+    monkeypatch.setattr(secular, "_ROUNDS", 0)
     weak = secular._seeds(eps, v2, 0.3, 5e-14)[0]
     np.testing.assert_array_equal(weak.real, eps)
     strong = secular._seeds(eps, v2, 0.35, 5e-14)[0]
@@ -745,11 +774,13 @@ def test_strong_cold_solve_iteration_budget(name):
         assert eigen_spectrum(m, lam).iterations <= 8, lam
 
 
-@pytest.mark.parametrize("name", ["fence", "perturbed_fence", "power_law_1_4"])
+@pytest.mark.parametrize("name", ["fence", "perturbed_fence", "power_law_1_4", "power_law_0_4"])
 def test_weak_cold_solve_row_budget(monkeypatch, name):
     # own-pole rounds move the first-order seeds onto their roots and confirm them there, so
     # _aberth iterates only the collective seed's few rows, where the first-order seeds took
-    # three passes of N rows; the rounds' passes (and the rounding floor's) take at most 3 N
+    # three passes of N rows; the rounds' passes (and the rounding floor's) take at most 3 N.
+    # Seeds that start close to their roots (lambda = 0.001, and r=0 t=4) take the rounds too,
+    # where _aberth would spend two passes of N rows on them
     m = FAMILIES[name](1001)
     rows = count_aberth_rows(monkeypatch)
     passes = []
@@ -760,15 +791,15 @@ def test_weak_cold_solve_row_budget(monkeypatch, name):
         return sums(x, *args, **kw)
 
     monkeypatch.setattr(secular, "_cauchy_sums", counted)
-    for lam in (0.01, 0.05):
+    for lam in (0.001, 0.01, 0.05):
         rows.clear()
         passes.clear()
         eigen_spectrum(m, lam)
         assert sum(rows) <= 0.01 * m.n and sum(passes) <= 3 * m.n, lam
     rows.clear()
-    monkeypatch.setattr(secular, "_ROUND_RATIO", np.inf)
+    monkeypatch.setattr(secular, "_ROUNDS", 0)
     eigen_spectrum(m, 0.05)
-    assert sum(rows) >= 2.9 * m.n
+    assert sum(rows) >= (1.9 if name == "power_law_0_4" else 2.9) * m.n  # r=0 t=4's seeds sit closer
 
 
 @pytest.mark.parametrize("where", ["on_one_root", "next_to_one_root", "moved_by_separate"])
@@ -860,14 +891,14 @@ def test_own_pole_rounds_keep_every_level_on_its_root(monkeypatch, name):
     act = m.couplings != 0
     eps, v2 = m.epsilons[act], m.couplings[act] ** 2
     unit = min(1.0, float(np.ptp(eps)))
-    weak = [lam for lam in (0.01, 0.05, 0.1, 0.2, 0.3) if not secular._regime(eps, v2, lam)[0]]
+    weak = [lam for lam in (0.01, 0.05, 0.1, 0.2, 0.3) if not secular._regime(eps, v2, lam)]
     assert weak
     moved = 0
     for lam in weak:
         rounds = secular._seeds(eps, v2, lam, 5e-14)[0]
         spec = eigen_spectrum(m, lam)
         with monkeypatch.context() as mp:
-            mp.setattr(secular, "_ROUND_RATIO", np.inf)
+            mp.setattr(secular, "_ROUNDS", 0)
             moved += np.count_nonzero(rounds != secular._seeds(eps, v2, lam, 5e-14)[0])
             first = eigen_spectrum(m, lam)
         e = first.energies[first.warm_order]
@@ -889,27 +920,24 @@ def test_own_pole_rounds_keep_every_level_on_its_root(monkeypatch, name):
 def test_own_pole_rounds_at_degenerate_couplings(monkeypatch, lam):
     m = build_picket_fence(41)
     eps, v2 = m.epsilons, m.couplings**2
-    assert secular._regime(eps, v2, lam)[0] == (lam == np.nextafter(1 / np.pi, 1.0))
+    assert secular._regime(eps, v2, lam) == (lam == np.nextafter(1 / np.pi, 1.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         seeds = secular._seeds(eps, v2, lam, 5e-14)[0]
         spec = eigen_spectrum(m, lam)
-        # every level takes the rounds: where they are not finite, its seed stays first-order
-        monkeypatch.setattr(secular, "_ROUND_RATIO", 0.0)
-        forced = secular._seeds(eps, v2, lam, 5e-14)[0]
-    assert np.isfinite(seeds).all() and np.isfinite(forced).all()
+    assert np.isfinite(seeds).all()
     ref = np.linalg.eigvals(m.hamiltonian(lam))
     assert_complex_sets_close(spec.energies, ref, atol=1e-12 * max(20.0, abs(lam) * m.coupling_strength))
-    if lam == 5e-324:
-        monkeypatch.setattr(secular, "_ROUND_RATIO", np.inf)
-        np.testing.assert_array_equal(forced, secular._seeds(eps, v2, lam, 5e-14)[0])
+    if lam == 5e-324:  # every level takes the rounds: where they are not finite, its seed stays first-order
+        monkeypatch.setattr(secular, "_ROUNDS", 0)
+        np.testing.assert_array_equal(seeds, secular._seeds(eps, v2, lam, 5e-14)[0])
 
 
 def test_non_finite_rounds_keep_the_first_order_seeds(monkeypatch):
     m = build_perturbed_fence(41, 0.1, 3)
     eps, v2 = m.epsilons, m.couplings**2
     with monkeypatch.context() as mp:
-        mp.setattr(secular, "_ROUND_RATIO", np.inf)
+        mp.setattr(secular, "_ROUNDS", 0)
         first = secular._seeds(eps, v2, 0.05, 5e-14)[0]
     sums = secular._cauchy_sums
 
